@@ -2,8 +2,7 @@
 
 Each job exposes ``run(spark, **params) -> list[dict]`` (the table rows)
 plus a ``main()`` that builds a local session — so the same code serves
-``spark-submit jobs/<name>.py``, the pytest benchmarks, and EXPERIMENTS.md
-regeneration.
+``spark-submit jobs/<name>.py`` and the ``results_*.txt`` tables.
 """
 from __future__ import annotations
 
@@ -37,6 +36,7 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.driver.maxResultSize", "0")
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
 

@@ -42,20 +42,6 @@ class _Overlay(ExecEnv):
         return self.base.read(name)
 
 
-def stream_concat_variant(node: Node) -> Node:
-    """A copy of ``node`` that consumes the *concatenation* of its streaming
-    inputs via stdin: streaming file operands are stripped from argv. Used
-    for the replicated copies T creates from a multi-input node — each copy
-    sees one chunk of the concatenated stream (static operands stay)."""
-    import dataclasses
-
-    res = node.resolved
-    assert res is not None
-    drop = {res.operand_pos[i] for i in res.inputs if i != "stdin"}
-    argv = tuple(a for j, a in enumerate(node.argv) if j not in drop)
-    return dataclasses.replace(node, argv=argv, via_stdin=True)
-
-
 def split_chunks(lines: List[str], width: int) -> List[List[str]]:
     """PaSh's split: count the input, then cut into contiguous equal chunks."""
     n = len(lines)

@@ -1,40 +1,39 @@
-"""Spark backend: data-parallel interpretation of a dataflow region.
+"""Spark backend: executes the transformed dataflow graph of a region.
 
-This backend interprets the *original* DFG with the parallelization
-semantics of the transformed one (§4.3): because transformation T is
-behaviour-preserving by construction, "n replicated nodes fed by a split"
-and "one per-chunk operator over an n-chunk stream" denote the same
-function — the former is what PaSh materializes as processes (and what our
-expanded DFG, pipe simulator, and node-count accounting use), the latter is
-the idiomatic Spark plan (``groupBy(p).applyInPandas`` stages over a
-range-chunked DataFrame). The equivalence between the two executions is
-asserted test-by-test against ``run_dfg_seq(parallelize(g, w))``.
+``run_dfg_spark`` lowers ``parallelize(g, width)`` — the graph
+``run_dfg_seq`` runs in the metamorphic tests — node by node onto
+:class:`~repro.runtime.stream.SparkStream` operations, without eager relays
+(Spark's scheduler has no pipe laziness). Every parallelization decision
+(commuting plain ``cat``, static file chunking vs ``split``, ``map_argv``,
+width sinks, §6.1's "No Split") is made once, in ``parallelize``:
 
-Width-sink behaviour matches the paper exactly: ⓝ/ⓔ/ⓟ-without-aggregator
-nodes run sequentially (driver-side), and a following parallelizable node
-re-splits only when ``enable_split`` — disabling split therefore leaves
-everything after the first aggregator sequential (§6.1's "No Split").
+* the ``(k, w)`` chunk edges of one input are the lanes of one stream;
+* ``map`` copies over the lanes of one stream fuse into one ``per_chunk``;
+* an ``agg`` tree collapses to one deferred ``aggregate`` over its leaves;
+* ``split`` distributes a driver-side list or re-chunks a stream;
+* ``cat`` concatenates lists on the driver, else streams;
+* ``cmd`` and ``relay`` nodes run on the driver.
 """
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from pyspark.sql import SparkSession
 
-from repro.annotations.model import CLASS_P, CLASS_S, Resolved
 from repro.commands.base import ExecEnv
 from repro.dfg.graph import DFG, Node
+from repro.dfg.transform import parallelize
 from repro.runtime.aggregators import AGGREGATORS
 from repro.runtime.stream import SparkStream
 
-from .backend_seq import exec_node, stream_concat_variant
+from .backend_seq import exec_node
 
 # commands that read the simulated environment (vfs / network / file types)
 # at runtime and therefore need it captured into their task closures
 _ENV_READERS = {"xargs", "curl", "file"}
 
-Value = Union[List[str], SparkStream]
+# an edge's value: lines on the driver, a whole stream, or lane k of a stream
+Value = Union[List[str], SparkStream, Tuple[SparkStream, int]]
 
 
 def _node_fn(node: Node, statics: List[List[str]], env_files: Dict[str, List[str]],
@@ -55,100 +54,96 @@ def run_dfg_spark(
     *,
     width: int,
     enable_split: bool = True,
-    enable_eager: bool = False,
     stdin: Optional[List[str]] = None,
 ) -> List[str]:
+    pg = parallelize(g, width, enable_split=enable_split, enable_eager=False)
     values: Dict[int, Value] = {}
+    ingested: Dict[Tuple[Optional[str], int], SparkStream] = {}
+    fused: Dict[Tuple[SparkStream, int], SparkStream] = {}
+    trees: Dict[int, List[Value]] = {}  # inner edge of an agg tree -> its leaves
 
-    def edge_value(eid: int) -> Value:
-        if eid in values:
-            return values[eid]
-        e = g.edges[eid]
-        assert e.src is None
-        v = list(stdin or []) if e.label == "<stdin>" else env.read(e.label or "")
-        values[eid] = v
-        return v
+    def value(eid: int) -> Value:
+        if eid not in values:
+            e = pg.edges[eid]
+            assert e.src is None, f"edge {eid} consumed before produced"
+            v = list(stdin or []) if e.label == "<stdin>" else env.read(e.label or "")
+            if e.chunk is not None:
+                k, w = e.chunk
+                if (e.label, w) not in ingested:
+                    ingested[e.label, w] = SparkStream.from_lines(spark, v, w)
+                v = (ingested[e.label, w], k)
+            values[eid] = v
+        return values[eid]
 
-    def ensure_stream(v: Value, w: int = 1) -> SparkStream:
-        return v if isinstance(v, SparkStream) else SparkStream.from_lines(spark, v, w)
-
-    def ensure_lines(v: Value) -> List[str]:
-        return v.collect_lines() if isinstance(v, SparkStream) else v
-
-    def env_capture(node: Node) -> Dict[str, List[str]]:
-        return dict(env.files) if node.cmd in _ENV_READERS else {}
-
-    for nid in g.topo_order():
-        n = g.nodes[nid]
-        assert n.kind == "cmd", "spark backend interprets frontend DFGs"
-        res: Resolved = n.resolved  # type: ignore[assignment]
-        statics = [ensure_lines(edge_value(e)) for e in n.statics]
-        ins = [edge_value(e) for e in n.inputs]
-
-        is_plain_cat = (n.cmd == "cat" and n.cls == CLASS_S
-                       and (res is None or not res.opts))
-        multi_stream = res is not None and len(res.inputs) > 1
-        # graph-input *files* are statically chunkable even without the
-        # runtime split primitive (§6.1: "w/o split" still parallelizes the
-        # first pipeline segment); intermediate pipes need enable_split
-        file_backed = all(
-            g.edges[e].src is None and g.edges[e].kind == "file"
-            for e in n.inputs
-        ) if n.inputs else False
-        may_split = enable_split or file_backed
-
-        if n.inputs and n.cls == CLASS_S:
-            # driver-resident inputs are distributed pre-chunked when
-            # splitting is allowed (static file chunking / cheap split)
-            w0 = width if may_split and not isinstance(ins[0], SparkStream) else 1
-            st = SparkStream.cat([ensure_stream(v) for v in ins]) if len(ins) > 1 \
-                else ensure_stream(ins[0], w0)
-            if st.n_parts == 1 and enable_split and width > 1:
-                st = st.split(width)
-            if is_plain_cat:
-                out: Value = st  # T commutes the concatenation downstream
-            else:
-                chunk_node = stream_concat_variant(n) if multi_stream else n
-                out = st.per_chunk(
-                    _node_fn(chunk_node, statics, env_capture(n), env.ftypes))
-                if enable_eager:
-                    out = out.eager()
-        elif n.inputs and n.cls == CLASS_P and res is not None and res.aggregator:
-            w0 = width if may_split and not isinstance(ins[0], SparkStream) else 1
-            st = SparkStream.cat([ensure_stream(v) for v in ins]) if len(ins) > 1 \
-                else ensure_stream(ins[0], w0)
-            if st.n_parts == 1 and enable_split and width > 1:
-                st = st.split(width)
-            if st.n_parts == 1:
-                out = st.per_chunk(_node_fn(n, statics, env_capture(n), env.ftypes))
-            else:
-                if res.map_argv:
-                    map_node = dataclasses.replace(
-                        n, cmd=res.map_argv[0], argv=tuple(res.map_argv[1:]),
-                        via_stdin=True)
-                elif multi_stream:
-                    map_node = stream_concat_variant(n)
+    def stream_of(vals: List[Value]) -> SparkStream:
+        """The stream whose chunks are ``vals`` in order: all the lanes of
+        one stream are that stream, anything else is concatenated."""
+        runs: List[SparkStream] = []
+        n_lanes = 0
+        for v in vals:
+            if isinstance(v, tuple):
+                st, k = v
+                n_lanes += 1
+                if k:
+                    assert runs and runs[-1] is st, "lanes are consumed in order"
                 else:
-                    map_node = n
-                mapped = st.per_chunk(
-                    _node_fn(map_node, statics, env_capture(map_node), env.ftypes))
-                if enable_eager:
-                    mapped = mapped.eager()
-                # the aggregator is PaSh's width-1 stage: one executor task
-                agg_fn = AGGREGATORS[res.aggregator]
-                out = mapped.aggregate(lambda parts, _r=res, _f=agg_fn: _f(parts, _r))
+                    runs.append(st)
+            else:
+                runs.append(v if isinstance(v, SparkStream)
+                            else SparkStream.from_lines(spark, v))
+                n_lanes += runs[-1].n_parts
+        assert sum(st.n_parts for st in runs) == n_lanes, "lanes are consumed whole"
+        return runs[0] if len(runs) == 1 else SparkStream.cat(runs)
+
+    def lines(v: Value) -> List[str]:
+        return v if isinstance(v, list) else stream_of([v]).collect_lines()
+
+    def statics(n: Node) -> List[List[str]]:
+        return [lines(value(e)) for e in n.statics]
+
+    for nid in pg.topo_order():
+        n = pg.nodes[nid]
+        ins = [value(e) for e in n.inputs if e not in trees]
+        if n.kind == "map":
+            st, k = ins[0] if isinstance(ins[0], tuple) else (stream_of(ins), 0)
+            # copies of one command share its Resolved: the first one builds
+            # the stage for all the lanes of ``st``
+            key = (st, id(n.resolved))
+            if key not in fused:
+                env_files = dict(env.files) if n.cmd in _ENV_READERS else {}
+                fused[key] = st.per_chunk(_node_fn(n, statics(n), env_files, env.ftypes))
+            outs: List[Value] = [(fused[key], k)]
+        elif n.kind == "agg":
+            leaves = [v for e in n.inputs for v in trees.pop(e, None) or [value(e)]]
+            dst = pg.edges[n.outputs[0]].dst
+            if dst is not None and pg.nodes[dst].kind == "agg":
+                trees[n.outputs[0]] = leaves  # lowered with the root of its tree
+                continue
+            fn = AGGREGATORS[n.agg_name]
+            outs = [stream_of(leaves).aggregate(
+                lambda parts, _f=fn, _s=n.agg_spec: _f(parts, _s))]
+        elif n.kind == "split":
+            w = len(n.outputs)
+            st = SparkStream.from_lines(spark, ins[0], w) if isinstance(ins[0], list) \
+                else stream_of(ins).split(w)
+            outs = [(st, k) for k in range(w)]
+        elif n.kind == "cat":
+            outs = [[l for v in ins for l in v] if all(isinstance(v, list) for v in ins)
+                    else stream_of(ins)]
+        elif n.kind == "relay":
+            outs = [lines(ins[0])] * len(n.outputs)
+        elif n.kind == "cmd":
+            outs = [exec_node(n, [lines(v) for v in ins], statics(n), env)]
         else:
-            # sources, ⓝ, ⓔ, ⓟ-without-aggregator, multi-stream inputs:
-            # sequential execution (the width sink of §6.1)
-            out = exec_node(n, [ensure_lines(v) for v in ins], statics, env)
-        values[n.outputs[0]] = out
+            raise ValueError(f"unknown node kind {n.kind}")
+        values.update(zip(n.outputs, outs))
 
     result: List[str] = []
-    for eid in g.graph_outputs():
-        e = g.edges[eid]
-        lines = ensure_lines(values[eid])
+    for eid in pg.graph_outputs():
+        e = pg.edges[eid]
+        out = lines(values[eid])
         if e.kind == "file" and e.label:
-            env.files[e.label] = lines
+            env.files[e.label] = out
         else:
-            result.extend(lines)
+            result.extend(out)
     return result

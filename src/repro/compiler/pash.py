@@ -32,7 +32,6 @@ def pash_spark(
     *,
     width: int,
     enable_split: bool = True,
-    enable_eager: bool = False,
     stdin: Optional[List[str]] = None,
     shell_env: Optional[Dict[str, str]] = None,
 ) -> List[str]:
@@ -43,12 +42,11 @@ def pash_spark(
             if step.kind == "dfg":
                 out.extend(run_dfg_spark(
                     spark, step.dfg, env, width=width,
-                    enable_split=enable_split, enable_eager=enable_eager,
-                    stdin=stdin))
+                    enable_split=enable_split, stdin=stdin))
             else:
                 out.extend(_run_ast(step.ast, list(stdin or []), env, cs.env))
     finally:
-        # split/eager stages persist intermediates; release them so
+        # ingest and split stages persist intermediates; release them so
         # repeated invocations (benchmarks!) don't accumulate cache
         spark.catalog.clearCache()
     return out

@@ -26,7 +26,8 @@ sequential after the first such node (§6.1).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import dataclasses
+from typing import Dict, List, Optional
 
 from repro.annotations.model import CLASS_P, CLASS_S, Resolved
 
@@ -35,6 +36,18 @@ from .graph import DFG, Edge, Node
 # aggregators that are associative and closed under composition -> binary
 # tree; the rest get one n-ary aggregator node
 BINARY_AGGS = {"sort_m", "uniq", "uniq_c", "wc", "sum", "head", "tail", "tac"}
+
+
+def stream_concat_variant(node: Node) -> Node:
+    """A copy of ``node`` that consumes the *concatenation* of its streaming
+    inputs via stdin: streaming file operands are stripped from argv. Used
+    for the replicated copies T creates from a multi-input node — each copy
+    sees one chunk of the concatenated stream (static operands stay)."""
+    res = node.resolved
+    assert res is not None
+    drop = {res.operand_pos[i] for i in res.inputs if i != "stdin"}
+    argv = tuple(a for j, a in enumerate(node.argv) if j not in drop)
+    return dataclasses.replace(node, argv=argv, via_stdin=True)
 
 
 def parallelize(
@@ -163,8 +176,6 @@ def parallelize(
             # concatenation via stdin (streaming operands stripped)
             proto = n if (res is None or len(res.inputs) <= 1 or len(ib) == 1) else None
             if proto is None:
-                from repro.compiler.backend_seq import stream_concat_variant
-
                 proto = stream_concat_variant(n)
             sts = statics_for(n, len(ib))
             outs: List[int] = []
@@ -191,8 +202,6 @@ def parallelize(
                 if res.map_argv:
                     m_cmd, m_argv, via_stdin = res.map_argv[0], tuple(res.map_argv[1:]), True
                 elif len(res.inputs) > 1:
-                    from repro.compiler.backend_seq import stream_concat_variant
-
                     proto = stream_concat_variant(n)
                     m_cmd, m_argv, via_stdin = proto.cmd, proto.argv, True
                 else:

@@ -40,7 +40,8 @@ def naive_parallel(
         files[input_file] = chunk
         return pash_seq(script, ExecEnv(files=files, ftypes=ftypes))
 
-    st = SparkStream.from_lines(spark, lines, width)
+    # like ``parallel --pipe``: no chunk without input lines
+    st = SparkStream.from_lines(spark, lines, max(1, min(width, len(lines))))
     return st.per_chunk(run_chunk).collect_lines()
 
 

@@ -3,7 +3,10 @@
 A Unix stream (ordered lines) is a DataFrame with columns ``p`` (contiguous
 chunk id — the DFG edge's position in its parallel bundle), ``s``
 (contiguous 0-based sequence number within ``p``) and ``line``. Total
-stream order is lexicographic ``(p, s)``.
+stream order is lexicographic ``(p, s)``. Every chunk also has one header
+row (``s = -1``, no line), so a chunk with no lines still exists and still
+runs its map chain — ``wc -l`` or ``grep -c`` print ``0`` for it, as the
+replicated command would.
 
 Mapping of PaSh runtime primitives (§5) onto Spark:
 
@@ -16,12 +19,12 @@ Mapping of PaSh runtime primitives (§5) onto Spark:
   aggregate and the re-chunking run in one single-partition task — PaSh
   pipes its aggregator straight into split, so fusing them mirrors the
   process structure while saving a full pass;
-* ``split``  -> re-chunking into ``width`` contiguous pieces (count, then
-  disperse, like PaSh's split),
-* ``cat``    -> union with bundle-offset on ``p`` (order-preserving),
-* ``eager``  -> ``persist()`` (a materialized buffer; Spark's scheduler has
-  no pipe-laziness — those pathologies are studied in
-  :mod:`repro.pipesim`).
+* ``split``  -> re-chunking into ``width`` contiguous pieces in one task
+  (count, then disperse, like PaSh's split process),
+* ``cat``    -> union with bundle-offset on ``p`` (order-preserving).
+
+There is no ``eager``: Spark's scheduler has no pipe laziness (those
+pathologies are studied in :mod:`repro.pipesim`).
 
 **Alignment.** A stream is *aligned* when every chunk ``p`` lives entirely
 in one DataFrame partition. Aligned streams run map chains with no shuffle;
@@ -48,10 +51,11 @@ AggFn = Callable[[List[List[str]]], List[str]]
 
 
 def _chunk_pdf(p: int, lines: List[str]) -> pd.DataFrame:
+    """The rows of chunk ``p``: its header row, then its lines."""
     return pd.DataFrame(
-        {"p": pd.Series([p] * len(lines), dtype="int64"),
-         "s": pd.Series(range(len(lines)), dtype="int64"),
-         "line": pd.Series(lines, dtype="object")}
+        {"p": pd.Series([p] * (len(lines) + 1), dtype="int64"),
+         "s": pd.Series(range(-1, len(lines)), dtype="int64"),
+         "line": pd.Series([None, *lines], dtype="object")}
     )
 
 
@@ -62,16 +66,31 @@ def _gather(batches) -> Optional[pd.DataFrame]:
     return pd.concat(frames, ignore_index=True) if len(frames) > 1 else frames[0]
 
 
+def _parts(pdf: Optional[pd.DataFrame], n_parts: int) -> List[List[str]]:
+    """The ordered lines of chunks ``0 .. n_parts-1`` of ``pdf``."""
+    if pdf is None or len(pdf) == 0:
+        return [[] for _ in range(n_parts)]
+    pdf = pdf[pdf["s"].to_numpy() >= 0]
+    order = np.lexsort((pdf["s"].to_numpy(), pdf["p"].to_numpy()))
+    lines = pdf["line"].to_numpy()[order].tolist()
+    bounds = np.searchsorted(pdf["p"].to_numpy()[order], range(n_parts + 1))
+    return [lines[bounds[k]: bounds[k + 1]] for k in range(n_parts)]
+
+
+def _concat(parts: List[List[str]]) -> List[str]:
+    return [line for part in parts for line in part]
+
+
 def _apply_chain(fns: List[ChunkFn]):
     """mapInPandas fn: run the fused chunk-function chain on every chunk
-    (grouped by ``p``) present in this partition."""
+    (grouped by ``p``) in this partition, empty chunks included."""
 
     def apply(batches):
         pdf = _gather(batches)
         if pdf is None:
             return
         for p, sub in pdf.groupby("p", sort=True):
-            lines = sub.sort_values("s")["line"].tolist()
+            lines = sub.sort_values("s")["line"].tolist()[1:]  # drop the header
             for f in fns:
                 lines = f(lines)
             yield _chunk_pdf(int(p), lines)
@@ -84,17 +103,7 @@ def _agg_stage(agg: AggFn, pre_parts: int, post: List[ChunkFn], width: int):
     — one single-partition task, like PaSh's aggregator process."""
 
     def apply(batches):
-        pdf = _gather(batches)
-        if pdf is None:
-            parts: List[List[str]] = [[] for _ in range(pre_parts)]
-        else:
-            order = np.lexsort((pdf["s"].to_numpy(), pdf["p"].to_numpy()))
-            pdf = pdf.iloc[order]
-            lines_all = pdf["line"].tolist()
-            ps = pdf["p"].to_numpy()
-            bounds = np.searchsorted(ps, range(pre_parts + 1))
-            parts = [lines_all[bounds[k]: bounds[k + 1]] for k in range(pre_parts)]
-        lines = agg(parts)
+        lines = agg(_parts(_gather(batches), pre_parts))
         for f in post:
             lines = f(lines)
         n = len(lines)
@@ -103,29 +112,6 @@ def _agg_stage(agg: AggFn, pre_parts: int, post: List[ChunkFn], width: int):
             yield _chunk_pdf(k, lines[lo:hi])
 
     return apply
-
-
-def _rechunk(width: int):
-    def apply(batches):
-        pdf = _gather(batches)
-        if pdf is None:
-            return
-        order = np.lexsort((pdf["s"].to_numpy(), pdf["p"].to_numpy()))
-        lines = pdf["line"].to_numpy()[order]
-        n = len(lines)
-        for k in range(width):
-            lo, hi = k * n // width, (k + 1) * n // width
-            yield _chunk_pdf(k, list(lines[lo:hi]))
-
-    return apply
-
-
-def _ordered_pandas(df: DataFrame) -> pd.DataFrame:
-    pdf = df.toPandas()
-    if len(pdf) == 0:
-        return pdf
-    order = np.lexsort((pdf["s"].to_numpy(), pdf["p"].to_numpy()))
-    return pdf.iloc[order]
 
 
 class SparkStream:
@@ -149,19 +135,15 @@ class SparkStream:
     @staticmethod
     def from_lines(spark: SparkSession, lines: List[str], width: int = 1) -> "SparkStream":
         """Distribute ``lines`` pre-chunked into ``width`` contiguous chunks
-        (static file chunking — no runtime split needed for file inputs)."""
-        lines = list(lines)
+        (static file chunking — no runtime split needed for file inputs).
+        Chunk ``k`` holds ``lines[k*n//width : (k+1)*n//width]``, so with
+        fewer lines than chunks some chunks are empty."""
         n = len(lines)
-        width = max(1, min(width, n) if n else 1)
         spark.conf.set("spark.sql.execution.arrow.maxRecordsPerBatch", "250000")
-        frames = [
+        pdf = pd.concat([
             _chunk_pdf(k, lines[k * n // width : (k + 1) * n // width])
             for k in range(width)
-        ]
-        pdf = pd.concat(frames, ignore_index=True) if frames else _chunk_pdf(0, [])
-        if len(pdf) == 0:
-            return SparkStream(spark.createDataFrame([], schema=SCHEMA), width,
-                               aligned=True)
+        ], ignore_index=True)
         # exact-width range partitioning gives one whole chunk per task
         # (hash collides chunks onto one core; surplus hash buckets drown
         # in empty-task overhead). The persist matters: the range
@@ -216,54 +198,13 @@ class SparkStream:
         return SparkStream(df, off, aligned=aligned)
 
     def split(self, width: int) -> "SparkStream":
-        """Re-chunk into ``width`` contiguous pieces (PaSh split). Fused
-        with a deferred aggregate when one is pending — PaSh's agg | split
-        process pair in a single task."""
-        if width <= 1:
-            return self.coalesce1()
-        if self.agg is not None or self.n_parts == 1:
-            df = self._materialized(rechunk_width=width) if self.agg is not None \
-                else self._pre_df().repartition(1).mapInPandas(_rechunk(width), SCHEMA)
-            # persist: the consumer's range partitioner samples first, which
-            # would otherwise recompute this single-task stage
-            return SparkStream(df.persist(), width, aligned=False)
-        mdf = self._materialized().persist()
-        counts = {r["p"]: r["count"] for r in mdf.groupBy("p").count().collect()}
-        total = sum(counts.values())
-        if total == 0:
-            return SparkStream(mdf.select(F.lit(0).alias("p"), "s", "line"), 1)
-        offs: List[int] = []
-        acc = 0
-        for p in range(self.n_parts):
-            offs.append(acc)
-            acc += counts.get(p, 0)
-        off_expr = F.element_at(
-            F.create_map(*[F.lit(x) for pair in enumerate(offs) for x in pair]),
-            F.col("p").cast("int"),
-        )
-        # chunk k = {g : floor(g*width/total) == k}, starting at
-        # ceil(k*total/width) — start map must use the same boundaries
-        bounds = [(k * total + width - 1) // width for k in range(width)]
-        start_expr = F.element_at(
-            F.create_map(*[F.lit(x) for pair in enumerate(bounds) for x in pair]),
-            F.col("np").cast("int"),
-        )
-        df = (
-            mdf.withColumn("g", off_expr + F.col("s"))
-            .withColumn("np", F.floor(F.col("g") * width / total).cast("long"))
-            .withColumn("np", F.least(F.col("np"), F.lit(width - 1)))
-            .select(F.col("np").alias("p"), (F.col("g") - start_expr).alias("s"),
-                    "line")
-        )
-        return SparkStream(df, width, aligned=False)
-
-    def coalesce1(self) -> "SparkStream":
-        """Merge all chunks into one (p=0), keeping order."""
-        if self.agg is not None:
-            return SparkStream(self._materialized(1), 1, aligned=True)
-        st = self._mat_stream()
-        df = st.df.repartition(1).mapInPandas(_rechunk(1), SCHEMA)
-        return SparkStream(df, 1, aligned=True)
+        """Re-chunk into ``width`` contiguous pieces in one single-partition
+        task (PaSh's split counts, then disperses). Fused with a deferred
+        aggregate when one is pending — PaSh's agg | split process pair."""
+        st = self if self.agg is not None else self.aggregate(_concat)
+        # persist: the consumer's range partitioner samples first, which
+        # would otherwise recompute this single-task stage
+        return SparkStream(st._materialized(rechunk_width=width).persist(), width)
 
     # -- compute ops -----------------------------------------------------------
     def per_chunk(self, fn: ChunkFn) -> "SparkStream":
@@ -280,24 +221,13 @@ class SparkStream:
         runs driver-side at a sink."""
         base = self._mat_stream() if self.agg is not None else self
         return SparkStream(base.df, 1, base.pending, base.aligned,
-                           (fn, base.n_parts if base.agg is None else base.n_parts), [])
-
-    def eager(self) -> "SparkStream":
-        """Materialized buffer (§5 eager relay): persist the intermediate."""
-        st = self._mat_stream()
-        return SparkStream(st.df.persist(), st.n_parts, aligned=st.aligned)
+                           (fn, base.n_parts), [])
 
     def collect_parts(self) -> List[List[str]]:
         """Collect the ordered chunks — the aggregator's input streams."""
         if self.agg is not None:
             return [self.collect_lines()]
-        pdf = _ordered_pandas(self._pre_df())
-        if len(pdf) == 0:
-            return [[] for _ in range(self.n_parts)]
-        lines = pdf["line"].tolist()
-        ps = pdf["p"].to_numpy()
-        bounds = np.searchsorted(ps, range(self.n_parts + 1))
-        return [lines[bounds[p]: bounds[p + 1]] for p in range(self.n_parts)]
+        return _parts(self._pre_df().toPandas(), self.n_parts)
 
     # -- sinks -----------------------------------------------------------------
     def collect_lines(self) -> List[str]:
@@ -310,8 +240,7 @@ class SparkStream:
             for f in self.post:
                 lines = f(lines)
             return lines
-        return _ordered_pandas(self._materialized())["line"].tolist()
+        return _concat(self.collect_parts())
 
     def count(self) -> int:
-        return len(self.collect_lines()) if self.agg is not None \
-            else self._materialized().count()
+        return len(self.collect_lines())

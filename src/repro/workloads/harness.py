@@ -1,4 +1,4 @@
-"""Measurement harness shared by jobs/ and benchmarks/.
+"""Measurement harness shared by jobs/ and perfbench/.
 
 ``run_both`` checks output equality (sequential vs PaSh-on-Spark) and
 returns the timings; the DuckDB oracle cross-checks query-shaped results

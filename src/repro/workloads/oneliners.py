@@ -2,7 +2,7 @@
 
 Scripts follow PaSh's published benchmark suite; the class structure of
 each (Tab. 2 "Structure") is recovered from our own annotations and
-reported next to the paper's in EXPERIMENTS.md. ``scale=1.0`` sizes inputs
+reported next to the paper's by ``jobs/table2_oneliners.py``. ``scale=1.0`` sizes inputs
 so the *sequential* run takes seconds, not the paper's tens of minutes —
 ratios, not absolute times, are the reproduction target.
 """

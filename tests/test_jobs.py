@@ -1,5 +1,6 @@
-"""Smoke tests for the jobs/ entry points that need no Spark session
-(the Spark-dependent jobs are exercised end-to-end by the benchmarks)."""
+"""Smoke tests for the jobs/ entry points that need no Spark session.
+The Spark-dependent jobs run no test here; the Spark code paths they use
+are covered by tests/test_spark_backend.py and measured by perfbench/."""
 import os
 import subprocess
 import sys

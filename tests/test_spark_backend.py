@@ -72,6 +72,17 @@ class TestStream:
         st = SparkStream.from_lines(spark, lines, 3).split(5)
         assert st.n_parts == 5 and st.collect_lines() == lines
 
+    def test_empty_chunks_run_their_chain(self, spark):
+        def count(ls):
+            return [str(len(ls))]
+
+        st = SparkStream.from_lines(spark, ["a"], 3)
+        assert st.per_chunk(count).collect_lines() == ["0", "0", "1"]
+        assert SparkStream.from_lines(spark, [], 2).per_chunk(count) \
+            .collect_lines() == ["0", "0"]
+        assert SparkStream.from_lines(spark, ["a", "b"], 1).split(3) \
+            .per_chunk(count).collect_lines() == ["0", "1", "1"]
+
 
 SPARK_SCRIPTS = [
     "cat in.txt | tr A-Z a-z | grep the",
@@ -84,10 +95,11 @@ SPARK_SCRIPTS = [
     "cat in.txt | grep -c the",
     'cat in.txt | tr -cs A-Za-z "\\n" | bigrams_aux | sort | uniq',
     "cat in.txt | tac | head -n 7",
+    "cat in.txt | cat -n | grep 5",
 ]
 
 
-@pytest.mark.parametrize("width", [2, 7])
+@pytest.mark.parametrize("width", [1, 2, 7])
 @pytest.mark.parametrize("script", SPARK_SCRIPTS)
 def test_spark_equals_seq(spark, corpus_env, script, width):
     seq = pash_seq(script, fresh(corpus_env))
@@ -95,11 +107,25 @@ def test_spark_equals_seq(spark, corpus_env, script, width):
     assert par == seq
 
 
-@pytest.mark.parametrize("script", SPARK_SCRIPTS[:6])
+@pytest.mark.parametrize("script", SPARK_SCRIPTS)
 def test_spark_nosplit_equals_seq(spark, corpus_env, script):
     seq = pash_seq(script, fresh(corpus_env))
     par = pash_spark(spark, script, fresh(corpus_env), width=4, enable_split=False)
     assert par == seq
+
+
+# chunks with no lines (fewer lines than width, or an empty input) must
+# still run their commands: wc -l and grep -c print 0 for them
+@pytest.mark.parametrize("script,lines,width,expected", [
+    ("cat in.txt | sort | wc -l", ["c", "a", "b"], 4, ["3"]),
+    ("cat in.txt | sort | wc -l", ["c", "a", "b"], 7, ["3"]),
+    ("cat in.txt | grep zzz | wc -l", [], 4, ["0"]),
+    ("cat in.txt | grep -c the", [], 1, ["0"]),
+])
+def test_spark_empty_chunks(spark, script, lines, width, expected):
+    env = ExecEnv(files={"in.txt": lines})
+    assert pash_seq(script, fresh(env)) == expected
+    assert pash_spark(spark, script, fresh(env), width=width) == expected
 
 
 ALL_WL = list(ONELINERS.items()) + list(UNIX50.items())
