@@ -37,16 +37,13 @@ def pash_spark(
 ) -> List[str]:
     cs = script if isinstance(script, CompiledScript) else compile_script(script, shell_env)
     out: List[str] = []
-    try:
-        for step in cs.steps:
-            if step.kind == "dfg":
-                out.extend(run_dfg_spark(
-                    spark, step.dfg, env, width=width,
-                    enable_split=enable_split, stdin=stdin))
-            else:
-                out.extend(_run_ast(step.ast, list(stdin or []), env, cs.env))
-    finally:
-        # ingest and split stages persist intermediates; release them so
-        # repeated invocations (benchmarks!) don't accumulate cache
-        spark.catalog.clearCache()
+    for step in cs.steps:
+        if step.kind == "dfg":
+            # releases what it caches: repeated calls don't accumulate
+            # cache, and the caller's cached data stays cached
+            out.extend(run_dfg_spark(
+                spark, step.dfg, env, width=width,
+                enable_split=enable_split, stdin=stdin))
+        else:
+            out.extend(_run_ast(step.ast, list(stdin or []), env, cs.env))
     return out

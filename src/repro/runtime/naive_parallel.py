@@ -42,7 +42,10 @@ def naive_parallel(
 
     # like ``parallel --pipe``: no chunk without input lines
     st = SparkStream.from_lines(spark, lines, max(1, min(width, len(lines))))
-    return st.per_chunk(run_chunk).collect_lines()
+    try:
+        return st.per_chunk(run_chunk).collect_lines()
+    finally:
+        st.unpersist()
 
 
 def diff_fraction(a: List[str], b: List[str]) -> float:

@@ -34,9 +34,26 @@ partitioning collides chunks onto one core while others idle.
 **Spark traps encoded here:** ``coalesce(1)`` would collapse upstream maps
 into the single task (use ``repartition(1)``); ``Union(coalesce(1), ...)``
 is collapsed by Catalyst (ingest uses one range shuffle instead).
+
+**Per-task cost.** Before every task, Spark's Python worker calls
+``importlib.invalidate_caches()``. Under CPython < 3.12 that makes each
+``zipimporter`` re-read its whole archive directory, and the worker's path
+holds three archives (``pyspark.zip``, the py4j zip, the spark-core jar):
+about 0.2 s per task, more than a 5k-line ``tr | sort`` chunk costs. Both
+``mapInPandas`` functions therefore start with :func:`_keep_zip_directories`,
+which makes the re-read a no-op for the rest of that worker's life. The
+archives do not change while a worker lives; directory finders are still
+invalidated, and a zip newly put on the path (``addPyFile``) gets a new
+importer that reads it.
+
+**Caching and session state.** ``from_lines`` and ``split`` persist one
+DataFrame each; :meth:`SparkStream.unpersist` releases it, and whoever
+builds the stream calls it once the stream's results are collected. No
+session setting outlives a call.
 """
 from __future__ import annotations
 
+import zipimport
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -45,6 +62,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 SCHEMA = "p long, s long, line string"
+# ingest sends up to 250k lines per Arrow batch (Spark's default is 10k)
+_INGEST_BATCH_KEY = "spark.sql.execution.arrow.maxRecordsPerBatch"
 
 ChunkFn = Callable[[List[str]], List[str]]
 AggFn = Callable[[List[List[str]]], List[str]]
@@ -81,11 +100,22 @@ def _concat(parts: List[List[str]]) -> List[str]:
     return [line for part in parts for line in part]
 
 
+def _archive_unchanged(self) -> None:
+    """``zipimporter.invalidate_caches`` for archives that never change."""
+
+
+def _keep_zip_directories() -> None:
+    """Stop ``importlib.invalidate_caches()`` from re-reading every zip on
+    ``sys.path`` in this (worker) process; see the module docstring."""
+    zipimport.zipimporter.invalidate_caches = _archive_unchanged
+
+
 def _apply_chain(fns: List[ChunkFn]):
     """mapInPandas fn: run the fused chunk-function chain on every chunk
     (grouped by ``p``) in this partition, empty chunks included."""
 
     def apply(batches):
+        _keep_zip_directories()
         pdf = _gather(batches)
         if pdf is None:
             return
@@ -103,6 +133,7 @@ def _agg_stage(agg: AggFn, pre_parts: int, post: List[ChunkFn], width: int):
     — one single-partition task, like PaSh's aggregator process."""
 
     def apply(batches):
+        _keep_zip_directories()
         lines = agg(_parts(_gather(batches), pre_parts))
         for f in post:
             lines = f(lines)
@@ -123,13 +154,15 @@ class SparkStream:
                  pending: Optional[List[ChunkFn]] = None,
                  aligned: bool = False,
                  agg: Optional[Tuple[AggFn, int]] = None,
-                 post: Optional[List[ChunkFn]] = None):
+                 post: Optional[List[ChunkFn]] = None,
+                 persisted: Optional[DataFrame] = None):
         self.df = df
         self.n_parts = n_parts  # post-aggregate view: 1 when agg is set
         self.pending = pending or []
         self.aligned = aligned
         self.agg = agg  # (agg_fn, pre_agg_n_parts)
         self.post = post or []
+        self.persisted = persisted  # the DataFrame this stream cached, if any
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -139,7 +172,6 @@ class SparkStream:
         Chunk ``k`` holds ``lines[k*n//width : (k+1)*n//width]``, so with
         fewer lines than chunks some chunks are empty."""
         n = len(lines)
-        spark.conf.set("spark.sql.execution.arrow.maxRecordsPerBatch", "250000")
         pdf = pd.concat([
             _chunk_pdf(k, lines[k * n // width : (k + 1) * n // width])
             for k in range(width)
@@ -149,9 +181,18 @@ class SparkStream:
         # in empty-task overhead). The persist matters: the range
         # partitioner's sampling job would otherwise re-run the driver-side
         # Arrow conversion once more per action.
-        base = spark.createDataFrame(pdf, schema=SCHEMA).persist()
+        # createDataFrame reads the batch size eagerly: restore it right after
+        prev = spark.conf.get(_INGEST_BATCH_KEY, None)
+        spark.conf.set(_INGEST_BATCH_KEY, "250000")
+        try:
+            base = spark.createDataFrame(pdf, schema=SCHEMA).persist()
+        finally:
+            if prev is None:
+                spark.conf.unset(_INGEST_BATCH_KEY)
+            else:
+                spark.conf.set(_INGEST_BATCH_KEY, prev)
         df = base.repartitionByRange(width, "p")
-        return SparkStream(df, width, aligned=True)
+        return SparkStream(df, width, aligned=True, persisted=base)
 
     # -- internal plan materialization ----------------------------------------
     def _pre_df(self) -> DataFrame:
@@ -204,7 +245,14 @@ class SparkStream:
         st = self if self.agg is not None else self.aggregate(_concat)
         # persist: the consumer's range partitioner samples first, which
         # would otherwise recompute this single-task stage
-        return SparkStream(st._materialized(rechunk_width=width).persist(), width)
+        df = st._materialized(rechunk_width=width).persist()
+        return SparkStream(df, width, persisted=df)
+
+    def unpersist(self) -> None:
+        """Release the DataFrame ``from_lines`` or ``split`` cached for this
+        stream (and nothing else in the session)."""
+        if self.persisted is not None:
+            self.persisted.unpersist()
 
     # -- compute ops -----------------------------------------------------------
     def per_chunk(self, fn: ChunkFn) -> "SparkStream":

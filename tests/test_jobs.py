@@ -1,6 +1,7 @@
-"""Smoke tests for the jobs/ entry points that need no Spark session.
-The Spark-dependent jobs run no test here; the Spark code paths they use
-are covered by tests/test_spark_backend.py and measured by perfbench/."""
+"""Smoke tests for the jobs/ entry points at tiny scale. Of the
+Spark-dependent jobs, micro_parallel runs here on the shared session; the
+others' Spark code paths are covered by tests/test_spark_backend.py and
+measured by perfbench/."""
 import os
 import subprocess
 import sys
@@ -56,3 +57,14 @@ def test_table1_job_cli():
     assert r.returncode == 0
     assert "Parallelizability classes" in r.stdout
     assert "22 (21.1%)" in r.stdout  # the paper column
+
+
+def test_micro_parallel_job_rows_tiny(spark):
+    import micro_parallel
+
+    # run() itself asserts that PaSh's output equals the sequential one
+    rows = micro_parallel.run(spark, n_reads=2000, width=2)
+    assert len(rows) == 4
+    naive = rows[-1]
+    assert naive["system"] == "naive GNU-parallel everywhere"
+    assert float(naive["output vs seq"].split("%")[0]) > 0

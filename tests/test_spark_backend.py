@@ -3,6 +3,8 @@ shell semantics, byte for byte, for every benchmark script — plus DuckDB
 oracle cross-checks for the query-shaped results.
 """
 import random
+import uuid
+import zipfile
 
 import pandas as pd
 import pytest
@@ -151,6 +153,100 @@ def test_webindex_on_spark(spark):
     seq = pash_seq(webindex.SCRIPT, fresh(env))
     par = pash_spark(spark, webindex.SCRIPT, fresh(env), width=3)
     assert par == seq
+
+
+class TestWorkerImports:
+    """Spark calls ``importlib.invalidate_caches()`` before every Python
+    task. Under CPython < 3.12 that re-reads every zip on the worker's path
+    (~0.2 s a task), unless the stream's stage functions turned it off."""
+
+    def test_tasks_keep_zip_directories(self, spark):
+        def probe(lines):
+            import importlib
+            import time
+            import zipimport
+
+            before = dict(zipimport._zip_directory_cache)
+            t0 = time.perf_counter()
+            importlib.invalidate_caches()
+            ms = (time.perf_counter() - t0) * 1e3
+            kept = all(zipimport._zip_directory_cache.get(path) is files
+                       for path, files in before.items())
+            return [f"{len(before)} {kept} {ms:.3f}"]
+
+        st = SparkStream.from_lines(spark, [str(i) for i in range(8)], 4)
+        try:
+            rows = [r.split() for r in st.per_chunk(probe).collect_lines()]
+        finally:
+            st.unpersist()
+        assert len(rows) == 4
+        for n_zips, kept, ms in rows:
+            assert int(n_zips) > 0 and kept == "True", rows
+            # re-reading takes 125-270 ms a call, skipping it ~0.1 ms
+            assert float(ms) < 10, rows
+
+    def test_pyfile_added_after_stages_imports(self, spark, tmp_path):
+        st = SparkStream.from_lines(spark, ["a", "b", "c", "d"], 4)
+        try:
+            # the workers have run a stage, so they no longer re-read zips
+            assert st.per_chunk(lambda ls: ls).collect_lines() == ["a", "b", "c", "d"]
+            name = f"pyfile_{uuid.uuid4().hex}"
+            archive = tmp_path / f"{name}.zip"
+            with zipfile.ZipFile(archive, "w") as z:
+                z.writestr(f"{name}.py", "def shout(s):\n    return s.upper() + '!'\n")
+            spark.sparkContext.addPyFile(str(archive))
+
+            def call(lines):
+                import importlib
+
+                return [importlib.import_module(name).shout(l) for l in lines]
+
+            assert st.per_chunk(call).collect_lines() == ["A!", "B!", "C!", "D!"]
+        finally:
+            st.unpersist()
+
+
+SORT_SORT = "cat in.txt | tr A-Z a-z | sort | sort -r"
+
+
+def _persistent_rdds(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+def test_pash_spark_keeps_callers_cache(spark, corpus_env):
+    view = f"callers_{uuid.uuid4().hex}"
+    spark.range(100).createOrReplaceTempView(view)
+    spark.catalog.cacheTable(view)
+    try:
+        assert spark.table(view).count() == 100  # materialize the cache
+        n_cached = _persistent_rdds(spark)
+        seq = pash_seq(SORT_SORT, fresh(corpus_env))
+        assert pash_spark(spark, SORT_SORT, fresh(corpus_env), width=4) == seq
+        assert spark.catalog.isCached(view)
+        # what the call cached (ingest, split) it released again
+        assert _persistent_rdds(spark) == n_cached
+    finally:
+        spark.catalog.uncacheTable(view)
+        spark.catalog.dropTempView(view)
+
+
+def test_pash_spark_leaves_arrow_batch_size(spark, corpus_env):
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    prev = spark.conf.get(key, None)
+    seq = pash_seq(SORT_SORT, fresh(corpus_env))
+    try:
+        for value in ("1234", None):
+            if value is None:
+                spark.conf.unset(key)
+            else:
+                spark.conf.set(key, value)
+            assert pash_spark(spark, SORT_SORT, fresh(corpus_env), width=4) == seq
+            assert spark.conf.get(key, None) == value
+    finally:
+        if prev is None:
+            spark.conf.unset(key)
+        else:
+            spark.conf.set(key, prev)
 
 
 class TestOracle:
