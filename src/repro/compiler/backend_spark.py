@@ -14,9 +14,8 @@ width sinks, §6.1's "No Split") is made once, in ``parallelize``:
 * ``cat`` concatenates lists on the driver, else streams;
 * ``cmd`` and ``relay`` nodes run on the driver.
 
-The streams that ``from_lines`` and ``split`` cache are released when the
-region's outputs are on the driver; nothing else the session caches is
-touched.
+Streams hold one row per chunk, so a region samples and caches nothing and
+leaves no state in the session.
 """
 from __future__ import annotations
 
@@ -61,25 +60,10 @@ def run_dfg_spark(
     stdin: Optional[List[str]] = None,
 ) -> List[str]:
     pg = parallelize(g, width, enable_split=enable_split, enable_eager=False)
-    held: List[SparkStream] = []
-    try:
-        return _lower(spark, pg, env, stdin, held)
-    finally:
-        for st in reversed(held):  # dependents first: no re-caching
-            st.unpersist()
-
-
-def _lower(spark: SparkSession, pg: DFG, env: ExecEnv,
-           stdin: Optional[List[str]], held: List[SparkStream]) -> List[str]:
-    """Run ``pg``; every stream that caches a DataFrame goes into ``held``."""
     values: Dict[int, Value] = {}
     ingested: Dict[Tuple[Optional[str], int], SparkStream] = {}
     fused: Dict[Tuple[SparkStream, int], SparkStream] = {}
     trees: Dict[int, List[Value]] = {}  # inner edge of an agg tree -> its leaves
-
-    def hold(st: SparkStream) -> SparkStream:
-        held.append(st)
-        return st
 
     def value(eid: int) -> Value:
         if eid not in values:
@@ -89,7 +73,7 @@ def _lower(spark: SparkSession, pg: DFG, env: ExecEnv,
             if e.chunk is not None:
                 k, w = e.chunk
                 if (e.label, w) not in ingested:
-                    ingested[e.label, w] = hold(SparkStream.from_lines(spark, v, w))
+                    ingested[e.label, w] = SparkStream.from_lines(spark, v, w)
                 v = (ingested[e.label, w], k)
             values[eid] = v
         return values[eid]
@@ -109,7 +93,7 @@ def _lower(spark: SparkSession, pg: DFG, env: ExecEnv,
                     runs.append(st)
             else:
                 runs.append(v if isinstance(v, SparkStream)
-                            else hold(SparkStream.from_lines(spark, v)))
+                            else SparkStream.from_lines(spark, v))
                 n_lanes += runs[-1].n_parts
         assert sum(st.n_parts for st in runs) == n_lanes, "lanes are consumed whole"
         return runs[0] if len(runs) == 1 else SparkStream.cat(runs)
@@ -143,8 +127,8 @@ def _lower(spark: SparkSession, pg: DFG, env: ExecEnv,
                 lambda parts, _f=fn, _s=n.agg_spec: _f(parts, _s))]
         elif n.kind == "split":
             w = len(n.outputs)
-            st = hold(SparkStream.from_lines(spark, ins[0], w) if isinstance(ins[0], list)
-                      else stream_of(ins).split(w))
+            st = (SparkStream.from_lines(spark, ins[0], w) if isinstance(ins[0], list)
+                  else stream_of(ins).split(w))
             outs = [(st, k) for k in range(w)]
         elif n.kind == "cat":
             outs = [[l for v in ins for l in v] if all(isinstance(v, list) for v in ins)

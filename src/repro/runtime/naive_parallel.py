@@ -42,10 +42,7 @@ def naive_parallel(
 
     # like ``parallel --pipe``: no chunk without input lines
     st = SparkStream.from_lines(spark, lines, max(1, min(width, len(lines))))
-    try:
-        return st.per_chunk(run_chunk).collect_lines()
-    finally:
-        st.unpersist()
+    return st.per_chunk(run_chunk).collect_lines()
 
 
 def diff_fraction(a: List[str], b: List[str]) -> float:

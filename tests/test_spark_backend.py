@@ -85,6 +85,29 @@ class TestStream:
         assert SparkStream.from_lines(spark, ["a", "b"], 1).split(3) \
             .per_chunk(count).collect_lines() == ["0", "1", "1"]
 
+    def test_chunk_order_beyond_core_count(self, spark):
+        def count(ls):
+            return [str(len(ls))]
+
+        # 16 chunks on fewer cores: partitions hold several chunks each
+        lines = ["a", "b", "c"]
+        expected = [str((k + 1) * 3 // 16 - k * 3 // 16) for k in range(16)]
+        assert expected.count("0") == 13
+        assert SparkStream.from_lines(spark, lines, 16).per_chunk(count) \
+            .collect_lines() == expected
+        assert SparkStream.from_lines(spark, lines).split(16).per_chunk(count) \
+            .collect_lines() == expected
+
+    def test_cat_keeps_chunk_order(self, spark):
+        a = SparkStream.from_lines(spark, ["a1", "a2"], 5)
+        b = SparkStream.from_lines(spark, ["b1", "b2", "b3", "b4"], 3)
+        expected = [[], [], ["a1"], [], ["a2"], ["b1"], ["b2"], ["b3", "b4"]]
+        st = SparkStream.cat([a, b])
+        assert st.n_parts == 8 and st.collect_parts() == expected
+        upper = SparkStream.cat([a.per_chunk(lambda ls: [l.upper() for l in ls]), b])
+        assert upper.per_chunk(lambda ls: ls[::-1]).collect_parts() == \
+            [[], [], ["A1"], [], ["A2"], ["b1"], ["b2"], ["b4", "b3"]]
+
 
 SPARK_SCRIPTS = [
     "cat in.txt | tr A-Z a-z | grep the",
@@ -175,10 +198,7 @@ class TestWorkerImports:
             return [f"{len(before)} {kept} {ms:.3f}"]
 
         st = SparkStream.from_lines(spark, [str(i) for i in range(8)], 4)
-        try:
-            rows = [r.split() for r in st.per_chunk(probe).collect_lines()]
-        finally:
-            st.unpersist()
+        rows = [r.split() for r in st.per_chunk(probe).collect_lines()]
         assert len(rows) == 4
         for n_zips, kept, ms in rows:
             assert int(n_zips) > 0 and kept == "True", rows
@@ -187,23 +207,20 @@ class TestWorkerImports:
 
     def test_pyfile_added_after_stages_imports(self, spark, tmp_path):
         st = SparkStream.from_lines(spark, ["a", "b", "c", "d"], 4)
-        try:
-            # the workers have run a stage, so they no longer re-read zips
-            assert st.per_chunk(lambda ls: ls).collect_lines() == ["a", "b", "c", "d"]
-            name = f"pyfile_{uuid.uuid4().hex}"
-            archive = tmp_path / f"{name}.zip"
-            with zipfile.ZipFile(archive, "w") as z:
-                z.writestr(f"{name}.py", "def shout(s):\n    return s.upper() + '!'\n")
-            spark.sparkContext.addPyFile(str(archive))
+        # the workers have run a stage, so they no longer re-read zips
+        assert st.per_chunk(lambda ls: ls).collect_lines() == ["a", "b", "c", "d"]
+        name = f"pyfile_{uuid.uuid4().hex}"
+        archive = tmp_path / f"{name}.zip"
+        with zipfile.ZipFile(archive, "w") as z:
+            z.writestr(f"{name}.py", "def shout(s):\n    return s.upper() + '!'\n")
+        spark.sparkContext.addPyFile(str(archive))
 
-            def call(lines):
-                import importlib
+        def call(lines):
+            import importlib
 
-                return [importlib.import_module(name).shout(l) for l in lines]
+            return [importlib.import_module(name).shout(l) for l in lines]
 
-            assert st.per_chunk(call).collect_lines() == ["A!", "B!", "C!", "D!"]
-        finally:
-            st.unpersist()
+        assert st.per_chunk(call).collect_lines() == ["A!", "B!", "C!", "D!"]
 
 
 SORT_SORT = "cat in.txt | tr A-Z a-z | sort | sort -r"
@@ -247,6 +264,57 @@ def test_pash_spark_leaves_arrow_batch_size(spark, corpus_env):
             spark.conf.unset(key)
         else:
             spark.conf.set(key, prev)
+
+
+def test_pash_spark_builds_no_columns(spark, corpus_env, monkeypatch):
+    """Every PySpark Column method captures its call site, and the first
+    capture in a process imports IPython into the driver."""
+    import pyspark.errors.utils as errors_utils
+
+    calls = []
+    capture = errors_utils._capture_call_site
+
+    def counted(depth):
+        calls.append(depth)
+        return capture(depth)
+
+    monkeypatch.setattr(errors_utils, "_capture_call_site", counted)
+    for script in SPARK_SCRIPTS:
+        pash_spark(spark, script, fresh(corpus_env), width=4)
+        assert not calls, script
+
+
+def _plan(spark, script, env):
+    """The output of one width-4 ``pash_spark`` call, the number of Spark
+    jobs it ran, and the tasks each stage it ran completed, in stage order."""
+    sc = spark.sparkContext
+    group = f"plan_{uuid.uuid4().hex}"
+    sc.setJobGroup(group, script)
+    try:
+        out = pash_spark(spark, script, fresh(env), width=4)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    stages = {s for j in jobs for s in tracker.getJobInfo(j).stageIds}
+    tasks = [tracker.getStageInfo(s).numCompletedTasks for s in sorted(stages)]
+    return out, len(jobs), [n for n in tasks if n]  # skipped stages ran 0
+
+
+@pytest.mark.parametrize("script,n_jobs,later_stages", [
+    # map | agg + split | the map after the split, collected
+    (SORT_SORT, 3, [1, 4]),
+    ("cat in.txt | sort", 1, []),
+])
+def test_plan_shape(spark, corpus_env, script, n_jobs, later_stages):
+    out, jobs, tasks = _plan(spark, script, corpus_env)
+    assert out == pash_seq(script, fresh(corpus_env))
+    assert jobs == n_jobs
+    # the first stage maps the 4 ingested chunk rows, which Spark spreads
+    # over at most one partition per core
+    assert tasks == [min(4, spark.sparkContext.defaultParallelism)] + later_stages
 
 
 class TestOracle:
