@@ -27,13 +27,16 @@ Mapping of PaSh runtime primitives (§5) onto Spark:
 There is no ``eager``: Spark's scheduler has no pipe laziness (those
 pathologies are studied in :mod:`repro.pipesim`).
 
-**Placement.** Ingest is one ``createDataFrame`` of ``width`` rows, which
-Spark spreads over up to ``defaultParallelism`` partitions with no shuffle,
-sampling or cache. The one-partition output of ``split`` moves to ``width``
-partitions by chunk id, with no sampling either: that and the
-``repartition(1)`` in front of an aggregator are the only exchanges.
-``coalesce(1)`` in place of ``repartition(1)`` would collapse the upstream
-maps into the aggregator's single task.
+**Placement.** Ingest is one ``createDataFrame`` of an Arrow table with one
+record batch per chunk, with no shuffle, sampling or cache. Below
+``spark.sql.execution.arrow.localRelationThreshold`` (48 MiB) Spark spreads
+the rows over up to ``defaultParallelism`` partitions; above it, each batch
+becomes a partition. Either way a map task holds at most
+``ceil(width / defaultParallelism)`` chunks. The one-partition output of
+``split`` moves to ``width`` partitions by chunk id, with no sampling
+either: that and the ``repartition(1)`` in front of an aggregator are the
+only exchanges. ``coalesce(1)`` in place of ``repartition(1)`` would
+collapse the upstream maps into the aggregator's single task.
 
 **No** ``Column`` **objects.** Every PySpark ``Column`` method and ``F.*``
 function captures its call site, and the first capture in a process imports
@@ -51,8 +54,13 @@ archives do not change while a worker lives; directory finders are still
 invalidated, and a zip newly put on the path (``addPyFile``) gets a new
 importer that reads it.
 
-**Limit.** A chunk travels as one Arrow record, so its text must stay
-under 2 GiB.
+**Limit.** Arrow's 32-bit offsets cap one record batch at 2 GiB of text.
+Every batch built here holds one chunk, and Spark cuts the batches it feeds
+a Python stage at ``arrow.maxBytesPerBatch`` (64 MiB) but never inside a
+row, so a chunk must stay under 2 GiB. A sink's ``toPandas`` gets each
+partition as one batch: chunks share a partition only after a
+local-relation ingest, so a map chain must not grow such a partition
+beyond 2 GiB.
 """
 from __future__ import annotations
 
@@ -60,12 +68,14 @@ import zipimport
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import ArrayType, IntegerType, StringType, StructField, StructType
 
 # a StructType, not a DDL string: each DDL string is a py4j parse round trip
 SCHEMA = StructType([StructField("p", IntegerType()),
                      StructField("lines", ArrayType(StringType()))])
+_ARROW_SCHEMA = pa.schema([("p", pa.int32()), ("lines", pa.list_(pa.string()))])
 
 ChunkFn = Callable[[List[str]], List[str]]
 AggFn = Callable[[List[List[str]]], List[str]]
@@ -78,10 +88,17 @@ def _chunk(lines: List[str], width: int) -> List[List[str]]:
     return [lines[k * n // width: (k + 1) * n // width] for k in range(width)]
 
 
-def _rows(ps: Iterable[int], parts: List[List[str]]) -> pd.DataFrame:
-    """One row per chunk: chunk ``ps[i]`` holds ``parts[i]``."""
-    return pd.DataFrame({"p": pd.Series(ps, dtype="int32"),
-                         "lines": pd.Series(parts, dtype="object")})
+def _row(p: int, lines: List[str]) -> pd.DataFrame:
+    """The one-row frame of chunk ``p``."""
+    return pd.DataFrame({"p": pd.Series([p], dtype="int32"),
+                         "lines": pd.Series([lines], dtype="object")})
+
+
+def _table(parts: List[List[str]]) -> pa.Table:
+    """Chunks ``0 .. len(parts)-1``, one Arrow record batch each."""
+    return pa.Table.from_batches(
+        [pa.record_batch([[k], [part]], schema=_ARROW_SCHEMA)
+         for k, part in enumerate(parts)], schema=_ARROW_SCHEMA)
 
 
 def _parts(pdfs: Iterable[pd.DataFrame], n_parts: int) -> List[List[str]]:
@@ -109,18 +126,16 @@ def _keep_zip_directories() -> None:
 
 def _apply_chain(fns: List[ChunkFn]):
     """mapInPandas fn: run the fused chunk-function chain on every chunk
-    row of this partition, empty chunks included."""
+    row of this partition, empty chunks included, one output frame each."""
 
     def apply(batches):
         _keep_zip_directories()
         for pdf in batches:
-            outs = []
-            for lines in pdf["lines"]:
+            for p, lines in zip(pdf["p"].tolist(), pdf["lines"]):
                 lines = list(lines)
                 for f in fns:
                     lines = f(lines)
-                outs.append(lines)
-            yield _rows(pdf["p"].to_numpy(), outs)
+                yield _row(p, lines)
 
     return apply
 
@@ -134,7 +149,8 @@ def _agg_stage(agg: AggFn, pre_parts: int, post: List[ChunkFn], width: int):
         lines = agg(_parts(batches, pre_parts))
         for f in post:
             lines = f(lines)
-        yield _rows(range(width), _chunk(lines, width))
+        for k, part in enumerate(_chunk(lines, width)):
+            yield _row(k, part)
 
     return apply
 
@@ -161,8 +177,7 @@ class SparkStream:
         (static file chunking — no runtime split needed for file inputs).
         Chunk ``k`` holds ``lines[k*n//width : (k+1)*n//width]``, so with
         fewer lines than chunks some chunks are empty."""
-        df = spark.createDataFrame(_rows(range(width), _chunk(lines, width)),
-                                   schema=SCHEMA)
+        df = spark.createDataFrame(_table(_chunk(lines, width)), schema=SCHEMA)
         return SparkStream(df, width)
 
     # -- internal plan materialization ----------------------------------------

@@ -5,9 +5,11 @@ oracle cross-checks for the query-shaped results.
 import random
 import uuid
 import zipfile
+from collections import Counter
 
 import pandas as pd
 import pytest
+from pyspark import TaskContext
 
 from repro.commands.base import ExecEnv
 from repro.compiler import pash_seq, pash_spark
@@ -97,6 +99,31 @@ class TestStream:
             .collect_lines() == expected
         assert SparkStream.from_lines(spark, lines).split(16).per_chunk(count) \
             .collect_lines() == expected
+
+    @pytest.mark.parametrize("threshold", [None, "0"])
+    @pytest.mark.parametrize("width", [4, 16])
+    def test_ingest_spreads_chunks_at_any_size(self, spark, threshold, width):
+        # above arrow.localRelationThreshold (48 MiB by default; 0 forces it
+        # here) Spark makes one partition per ingested Arrow batch, below it
+        # it spreads the rows over the cores
+        def partition(ls):
+            return [str(TaskContext.get().partitionId())]
+
+        key = "spark.sql.execution.arrow.localRelationThreshold"
+        prev = spark.conf.get(key, None)
+        try:
+            if threshold is not None:
+                spark.conf.set(key, threshold)
+            ids = SparkStream.from_lines(spark, [str(i) for i in range(100)], width) \
+                .per_chunk(partition).collect_lines()
+        finally:
+            if prev is None:
+                spark.conf.unset(key)
+            else:
+                spark.conf.set(key, prev)
+        per_task = -(-width // spark.sparkContext.defaultParallelism)
+        assert len(ids) == width
+        assert max(Counter(ids).values()) <= per_task
 
     def test_cat_keeps_chunk_order(self, spark):
         a = SparkStream.from_lines(spark, ["a1", "a2"], 5)
