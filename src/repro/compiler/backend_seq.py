@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.annotations.model import Resolved
 from repro.commands.base import CommandError, ExecEnv, run_cli
-from repro.dfg.graph import DFG, Node
+from repro.dfg.graph import DFG, Node, split_chunks
 from repro.runtime.aggregators import aggregate
 from repro.shell.ast import AndOr, ForLoop, Pipeline, Script, SimpleCommand, Subshell
 from repro.shell.expand import expand_word
@@ -40,12 +40,6 @@ class _Overlay(ExecEnv):
         if name in self.overlay:
             return self.overlay[name]
         return self.base.read(name)
-
-
-def split_chunks(lines: List[str], width: int) -> List[List[str]]:
-    """PaSh's split: count the input, then cut into contiguous equal chunks."""
-    n = len(lines)
-    return [lines[i * n // width : (i + 1) * n // width] for i in range(width)]
 
 
 def exec_node(node: Node, in_streams: List[List[str]],

@@ -9,8 +9,10 @@ width sinks, §6.1's "No Split") is made once, in ``parallelize``:
 
 * the ``(k, w)`` chunk edges of one input are the lanes of one stream;
 * ``map`` copies over the lanes of one stream fuse into one ``per_chunk``;
-* an ``agg`` tree collapses to one deferred ``aggregate`` over its leaves;
-* ``split`` distributes a driver-side list or re-chunks a stream;
+* an ``agg`` tree collapses to one aggregator over its leaves, placed by
+  the node that reads its output: in the task of the ``split`` it feeds
+  (PaSh's ``agg | split``), else on the driver, as a list;
+* a ``split`` fed by no aggregator distributes a driver-side list;
 * ``cat`` concatenates lists on the driver, else streams;
 * ``cmd`` and ``relay`` nodes run on the driver.
 
@@ -27,7 +29,7 @@ from repro.commands.base import ExecEnv
 from repro.dfg.graph import DFG, Node
 from repro.dfg.transform import parallelize
 from repro.runtime.aggregators import AGGREGATORS
-from repro.runtime.stream import SparkStream
+from repro.runtime.stream import AggFn, SparkStream
 
 from .backend_seq import exec_node
 
@@ -64,6 +66,7 @@ def run_dfg_spark(
     ingested: Dict[Tuple[Optional[str], int], SparkStream] = {}
     fused: Dict[Tuple[SparkStream, int], SparkStream] = {}
     trees: Dict[int, List[Value]] = {}  # inner edge of an agg tree -> its leaves
+    held: Dict[int, Tuple[SparkStream, AggFn]] = {}  # agg root's edge -> its split
 
     def value(eid: int) -> Value:
         if eid not in values:
@@ -106,7 +109,7 @@ def run_dfg_spark(
 
     for nid in pg.topo_order():
         n = pg.nodes[nid]
-        ins = [value(e) for e in n.inputs if e not in trees]
+        ins = [value(e) for e in n.inputs if e not in trees and e not in held]
         if n.kind == "map":
             st, k = ins[0] if isinstance(ins[0], tuple) else (stream_of(ins), 0)
             # copies of one command share its Resolved: the first one builds
@@ -119,16 +122,23 @@ def run_dfg_spark(
         elif n.kind == "agg":
             leaves = [v for e in n.inputs for v in trees.pop(e, None) or [value(e)]]
             dst = pg.edges[n.outputs[0]].dst
-            if dst is not None and pg.nodes[dst].kind == "agg":
+            consumer = None if dst is None else pg.nodes[dst].kind
+            if consumer == "agg":
                 trees[n.outputs[0]] = leaves  # lowered with the root of its tree
                 continue
             fn = AGGREGATORS[n.agg_name]
-            outs = [stream_of(leaves).aggregate(
-                lambda parts, _f=fn, _s=n.agg_spec: _f(parts, _s))]
+            agg = lambda parts, _f=fn, _s=n.agg_spec: _f(parts, _s)
+            if consumer == "split":
+                held[n.outputs[0]] = (stream_of(leaves), agg)
+                continue
+            outs = [stream_of(leaves).collect_lines(agg)]
         elif n.kind == "split":
             w = len(n.outputs)
-            st = (SparkStream.from_lines(spark, ins[0], w) if isinstance(ins[0], list)
-                  else stream_of(ins).split(w))
+            if n.inputs[0] in held:
+                st, agg = held.pop(n.inputs[0])
+                st = st.split(w, agg)
+            else:
+                st = SparkStream.from_lines(spark, lines(ins[0]), w)
             outs = [(st, k) for k in range(w)]
         elif n.kind == "cat":
             outs = [[l for v in ins for l in v] if all(isinstance(v, list) for v in ins)

@@ -39,8 +39,8 @@ def pash_spark(
     out: List[str] = []
     for step in cs.steps:
         if step.kind == "dfg":
-            # releases what it caches: repeated calls don't accumulate
-            # cache, and the caller's cached data stays cached
+            # caches nothing and sets no conf: repeated calls leave the
+            # session as they found it, the caller's cache included
             out.extend(run_dfg_spark(
                 spark, step.dfg, env, width=width,
                 enable_split=enable_split, stdin=stdin))

@@ -38,6 +38,15 @@ class Edge:
     chunk: Optional[Tuple[int, int]] = None
 
 
+def split_chunks(lines: List[str], width: int) -> List[List[str]]:
+    """PaSh's split: count the input, then cut it into ``width`` contiguous
+    chunks; chunk ``k`` (the ``(k, width)`` of ``Edge.chunk``) is
+    ``lines[k*n//width : (k+1)*n//width]``, so with fewer lines than chunks
+    some chunks are empty."""
+    n = len(lines)
+    return [lines[k * n // width: (k + 1) * n // width] for k in range(width)]
+
+
 @dataclass
 class Node:
     nid: int
@@ -85,9 +94,6 @@ class DFG:
         return n
 
     # -- queries -------------------------------------------------------------
-    def graph_inputs(self) -> List[int]:
-        return [e.eid for e in self.edges.values() if e.src is None and e.dst is not None]
-
     def graph_outputs(self) -> List[int]:
         return [e.eid for e in self.edges.values() if e.dst is None and e.src is not None]
 
@@ -135,14 +141,3 @@ class DFG:
                 c = SHORT[n.cls]
                 h[c] = h.get(c, 0) + 1
         return h
-
-    def describe(self) -> str:
-        lines = []
-        for nid in self.topo_order():
-            n = self.nodes[nid]
-            argv = " ".join(n.argv)
-            lines.append(
-                f"n{n.nid} [{n.kind}] {n.cmd} {argv} "
-                f"in={n.inputs} st={n.statics} out={n.outputs}"
-            )
-        return "\n".join(lines)

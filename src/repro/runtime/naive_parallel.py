@@ -7,8 +7,9 @@ for scripts with ⓟ commands (sort/uniq/comm) chunk boundaries corrupt the
 result — the paper measures 92% differing output lines. ``diff_fraction``
 quantifies that.
 
-``bottleneck_parallel`` mimics the careful user who parallelizes only the
-single most expensive stage (the paper's 1.8x-vs-4.3x comparison).
+The other baseline, the careful user who parallelizes only the single most
+expensive stage (the paper's 1.8x-vs-4.3x comparison), is built in
+``jobs/micro_parallel.py``.
 """
 from __future__ import annotations
 

@@ -14,14 +14,13 @@ Mapping of PaSh runtime primitives (§5) onto Spark:
   on every chunk row (the n replicated nodes of transformation T;
   consecutive per-chunk stages fuse into one Spark stage — exactly PaSh's
   process-chain-per-width-lane execution),
-* aggregate  -> a *deferred* width-1 stage (PaSh's aggregator process).
-  When a split follows (the P-after-P pattern of §6.1's sort-sort), the
-  aggregate and the re-chunking run in one single-partition task — PaSh
-  pipes its aggregator straight into split, so fusing them mirrors the
-  process structure while saving a full pass;
-* ``split``  -> re-chunking into ``width`` contiguous pieces in one task
-  (count, then disperse, like PaSh's split process), then
+* ``split``  -> PaSh's aggregator piped into its split, in one
+  single-partition task: the aggregator (plain concatenation by default)
+  runs over the ordered chunks and its output is re-chunked into ``width``
+  contiguous pieces (count, then disperse, like PaSh's split process), then
   ``repartitionById(width, "p")`` places chunk ``k`` in partition ``k``,
+* sink       -> ``collect_lines`` brings the ordered chunks to the driver
+  and runs the aggregator there (plain concatenation by default),
 * ``cat``    -> union with bundle-offset on ``p`` (order-preserving).
 
 There is no ``eager``: Spark's scheduler has no pipe laziness (those
@@ -65,12 +64,14 @@ beyond 2 GiB.
 from __future__ import annotations
 
 import zipimport
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional
 
 import pandas as pd
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import ArrayType, IntegerType, StringType, StructField, StructType
+
+from repro.dfg.graph import split_chunks
 
 # a StructType, not a DDL string: each DDL string is a py4j parse round trip
 SCHEMA = StructType([StructField("p", IntegerType()),
@@ -79,13 +80,6 @@ _ARROW_SCHEMA = pa.schema([("p", pa.int32()), ("lines", pa.list_(pa.string()))])
 
 ChunkFn = Callable[[List[str]], List[str]]
 AggFn = Callable[[List[List[str]]], List[str]]
-
-
-def _chunk(lines: List[str], width: int) -> List[List[str]]:
-    """``lines`` cut into ``width`` contiguous chunks; chunk ``k`` is
-    ``lines[k*n//width : (k+1)*n//width]``."""
-    n = len(lines)
-    return [lines[k * n // width: (k + 1) * n // width] for k in range(width)]
 
 
 def _row(p: int, lines: List[str]) -> pd.DataFrame:
@@ -140,16 +134,14 @@ def _apply_chain(fns: List[ChunkFn]):
     return apply
 
 
-def _agg_stage(agg: AggFn, pre_parts: int, post: List[ChunkFn], width: int):
-    """mapInPandas fn for the fused aggregate(+post chain)(+re-chunk) stage
-    — one single-partition task, like PaSh's aggregator process."""
+def _agg_split(agg: AggFn, n_parts: int, width: int):
+    """mapInPandas fn of a ``split``: the aggregator over all ``n_parts``
+    chunks, re-chunked into ``width`` — one single-partition task, like
+    PaSh's aggregator process piped into its split."""
 
     def apply(batches):
         _keep_zip_directories()
-        lines = agg(_parts(batches, pre_parts))
-        for f in post:
-            lines = f(lines)
-        for k, part in enumerate(_chunk(lines, width)):
+        for k, part in enumerate(split_chunks(agg(_parts(batches, n_parts)), width)):
             yield _row(k, part)
 
     return apply
@@ -157,52 +149,29 @@ def _agg_stage(agg: AggFn, pre_parts: int, post: List[ChunkFn], width: int):
 
 class SparkStream:
     """An ordered line stream distributed over ``n_parts`` contiguous
-    chunks, with a lazily-fused plan: pre-aggregate chunk functions, an
-    optional deferred aggregator, and post-aggregate chunk functions."""
+    chunks, with the chunk functions still pending, which fuse into the
+    stage that next reads it."""
 
     def __init__(self, df: DataFrame, n_parts: int,
-                 pending: Optional[List[ChunkFn]] = None,
-                 agg: Optional[Tuple[AggFn, int]] = None,
-                 post: Optional[List[ChunkFn]] = None):
+                 pending: Optional[List[ChunkFn]] = None):
         self.df = df
-        self.n_parts = n_parts  # post-aggregate view: 1 when agg is set
+        self.n_parts = n_parts
         self.pending = pending or []
-        self.agg = agg  # (agg_fn, pre_agg_n_parts)
-        self.post = post or []
 
     # -- constructors --------------------------------------------------------
     @staticmethod
     def from_lines(spark: SparkSession, lines: List[str], width: int = 1) -> "SparkStream":
         """Distribute ``lines`` pre-chunked into ``width`` contiguous chunks
-        (static file chunking — no runtime split needed for file inputs).
-        Chunk ``k`` holds ``lines[k*n//width : (k+1)*n//width]``, so with
-        fewer lines than chunks some chunks are empty."""
-        df = spark.createDataFrame(_table(_chunk(lines, width)), schema=SCHEMA)
+        (static file chunking — no runtime split needed for file inputs),
+        as ``split_chunks`` cuts them."""
+        df = spark.createDataFrame(_table(split_chunks(lines, width)), schema=SCHEMA)
         return SparkStream(df, width)
 
-    # -- internal plan materialization ----------------------------------------
     def _pre_df(self) -> DataFrame:
-        """The wide (pre-aggregate) stage as a DataFrame."""
+        """The chunk rows with the pending chunk functions applied."""
         if not self.pending:
             return self.df
         return self.df.mapInPandas(_apply_chain(list(self.pending)), SCHEMA)
-
-    def _materialized(self, rechunk_width: int = 1) -> DataFrame:
-        """Materialize the whole plan. With a deferred aggregate, the
-        aggregator (+post chain +re-chunk) runs as one single-partition
-        task behind a stage boundary so the maps keep their width."""
-        if self.agg is not None:
-            agg_fn, pre_parts = self.agg
-            return self._pre_df().repartition(1).mapInPandas(
-                _agg_stage(agg_fn, pre_parts, list(self.post), rechunk_width),
-                SCHEMA)
-        assert not self.post
-        return self._pre_df()
-
-    def _mat_stream(self) -> "SparkStream":
-        if not self.pending and self.agg is None:
-            return self
-        return SparkStream(self._materialized(), self.n_parts)
 
     # -- structural ops --------------------------------------------------------
     @staticmethod
@@ -213,54 +182,36 @@ class SparkStream:
         df = None
         off = 0
         for st in streams:
-            part = st._mat_stream().df.selectExpr(f"p + {off} AS p", "lines")
+            part = st._pre_df().selectExpr(f"p + {off} AS p", "lines")
             df = part if df is None else df.unionAll(part)
             off += st.n_parts
         return SparkStream(df, off)
 
-    def split(self, width: int) -> "SparkStream":
-        """Re-chunk into ``width`` contiguous pieces in one single-partition
-        task (PaSh's split counts, then disperses), then place chunk ``k``
-        in partition ``k``. Fused with a deferred aggregate when one is
-        pending — PaSh's agg | split process pair."""
-        st = self if self.agg is not None else self.aggregate(_concat)
-        df = st._materialized(rechunk_width=width).repartitionById(width, "p")
+    def split(self, width: int, agg: AggFn = _concat) -> "SparkStream":
+        """Run ``agg`` over the ordered chunks and re-chunk its output into
+        ``width`` contiguous pieces, in one single-partition task behind a
+        stage boundary (so the maps keep their width) — PaSh's agg | split
+        process pair — then place chunk ``k`` in partition ``k``."""
+        df = self._pre_df().repartition(1) \
+            .mapInPandas(_agg_split(agg, self.n_parts, width), SCHEMA) \
+            .repartitionById(width, "p")
         return SparkStream(df, width)
 
     # -- compute ops -----------------------------------------------------------
     def per_chunk(self, fn: ChunkFn) -> "SparkStream":
         """Run the black-box ``fn`` independently on every chunk — the n
         replicated nodes of transformation T. Lazy and fused."""
-        if self.agg is not None:
-            return SparkStream(self.df, self.n_parts, self.pending,
-                               self.agg, self.post + [fn])
         return SparkStream(self.df, self.n_parts, self.pending + [fn])
 
-    def aggregate(self, fn: AggFn) -> "SparkStream":
-        """Collapse all chunks, in order, through an aggregator — PaSh's
-        width-1 aggregate stage. Deferred: fuses with a following split or
-        runs driver-side at a sink."""
-        base = self._mat_stream() if self.agg is not None else self
-        return SparkStream(base.df, 1, base.pending, (fn, base.n_parts), [])
-
+    # -- sinks -----------------------------------------------------------------
     def collect_parts(self) -> List[List[str]]:
         """Collect the ordered chunks — the aggregator's input streams."""
-        if self.agg is not None:
-            return [self.collect_lines()]
         return _parts([self._pre_df().toPandas()], self.n_parts)
 
-    # -- sinks -----------------------------------------------------------------
-    def collect_lines(self) -> List[str]:
-        if self.agg is not None:
-            # run the deferred aggregator on the driver: one transfer of the
-            # map outputs instead of an executor round-trip
-            agg_fn, pre_parts = self.agg
-            wide = SparkStream(self.df, pre_parts, self.pending)
-            lines = agg_fn(wide.collect_parts())
-            for f in self.post:
-                lines = f(lines)
-            return lines
-        return _concat(self.collect_parts())
+    def collect_lines(self, agg: AggFn = _concat) -> List[str]:
+        """The ordered chunks through ``agg`` on the driver: PaSh's
+        aggregator at a sink, one transfer of the map outputs."""
+        return agg(self.collect_parts())
 
     def count(self) -> int:
         return len(self.collect_lines())

@@ -66,10 +66,14 @@ class TestStream:
         assert out.collect_lines() == [l.upper() + "!" for l in lines]
 
     def test_aggregate_sees_ordered_parts(self, spark):
+        def fn(parts):
+            return [f"{len(parts)}:{parts[0][0]}:{parts[-1][-1]}"]
+
         lines = [str(i) for i in range(30)]
         st = SparkStream.from_lines(spark, lines, 3)
-        agg = st.aggregate(lambda parts: [f"{len(parts)}:{parts[0][0]}:{parts[-1][-1]}"])
-        assert agg.collect_lines() == ["3:0:29"]
+        assert st.collect_lines(fn) == ["3:0:29"]
+        # the same aggregator in the single task of a split, on the executor
+        assert st.split(2, fn).collect_lines() == ["3:0:29"]
 
     def test_split_of_split(self, spark):
         lines = [str(i) for i in range(50)]
@@ -148,6 +152,8 @@ SPARK_SCRIPTS = [
     'cat in.txt | tr -cs A-Za-z "\\n" | bigrams_aux | sort | uniq',
     "cat in.txt | tac | head -n 7",
     "cat in.txt | cat -n | grep 5",
+    # the one script in which a map reads an aggregator's output
+    "cat <(cat in.txt | sort) <(cat in2.txt | sort) | grep the",
 ]
 
 
@@ -267,7 +273,7 @@ def test_pash_spark_keeps_callers_cache(spark, corpus_env):
         seq = pash_seq(SORT_SORT, fresh(corpus_env))
         assert pash_spark(spark, SORT_SORT, fresh(corpus_env), width=4) == seq
         assert spark.catalog.isCached(view)
-        # what the call cached (ingest, split) it released again
+        # the call caches nothing of its own (ingest and split persist nothing)
         assert _persistent_rdds(spark) == n_cached
     finally:
         spark.catalog.uncacheTable(view)
