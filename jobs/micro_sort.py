@@ -21,7 +21,7 @@ from _common import get_spark, print_table
 
 
 def run(spark, *, n_lines: int = 1_500_000, widths=None) -> List[Dict]:
-    from pyspark.sql import functions as F
+    import pyarrow as pa
 
     from repro.commands.base import ExecEnv
     from repro.compiler import pash_seq, pash_spark
@@ -38,13 +38,11 @@ def run(spark, *, n_lines: int = 1_500_000, widths=None) -> List[Dict]:
 
     rows: List[Dict] = []
     # S_g: the "hand-tuned parallel sort" — Spark's native orderBy
-    # (Arrow-backed ingest/collect, same transport as the PaSh runs)
-    import pandas as pd
-
-    sdf = spark.createDataFrame(pd.DataFrame({"line": lines})).cache()
+    # (Arrow ingest and collect, the same transport as the PaSh runs)
+    sdf = spark.createDataFrame(pa.table({"line": lines})).cache()
     sdf.count()
     t0 = time.perf_counter()
-    native = sdf.orderBy("line").toPandas()["line"].tolist()
+    native = sdf.orderBy("line").toArrow().column("line").to_numpy().tolist()
     t_native = time.perf_counter() - t0
     assert native == seq_out
     rows.append({"system": "seq (baseline)", "width": "-", "time": f"{t_seq:.2f}s",

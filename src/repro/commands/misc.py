@@ -18,6 +18,17 @@ def stream_bytes(lines: List[str]) -> bytes:
     return "".join(l + "\n" for l in lines).encode()
 
 
+# a word as GNU wc counts it in the C locale: a run of bytes other than
+# C whitespace that holds at least one printable ASCII byte
+_WORD = re.compile(r"[^ \t\n\v\f\r]*[!-~][^ \t\n\v\f\r]*")
+
+
+def _words(line: str) -> int:
+    if line.isascii() and line.isprintable():  # str.split() agrees here
+        return len(line.split())
+    return len(_WORD.findall(line))
+
+
 @register("wc")
 def wc(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
     opts, operands = parse_opts(argv, flags="lwcm")
@@ -25,14 +36,17 @@ def wc(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
         raise CommandError("wc: at most one file operand supported")
     lines = resolve_streams(operands, stdin, env)
     counts: List[int] = []
-    selected = [f for f in "lwcm" if opts.get(f)] or ["l", "w", "c"]
+    # GNU's column order: lines, words, characters, bytes
+    selected = [f for f in "lwmc" if opts.get(f)] or ["l", "w", "c"]
     for f in selected:
         if f == "l":
             counts.append(len(lines))
         elif f == "w":
-            counts.append(sum(len(l.split()) for l in lines))
-        else:  # c / m: bytes incl. newlines (ASCII: chars == bytes)
+            counts.append(sum(_words(l) for l in lines))
+        elif f == "m":  # characters incl. newlines
             counts.append(sum(len(l) + 1 for l in lines))
+        else:  # c: UTF-8 bytes incl. newlines
+            counts.append(sum(len(l.encode()) + 1 for l in lines))
     if operands and operands[0] != "-":
         body = " ".join(str(c) for c in counts) if len(counts) == 1 else " ".join(
             f"{c:7d}" for c in counts

@@ -28,12 +28,6 @@ def numeric_value(s: str) -> float:
         return 0.0
 
 
-def _field(line: str, idx: int, sep: str) -> str:
-    """1-based field extraction with an explicit separator."""
-    parts = line.split(sep)
-    return parts[idx - 1] if idx <= len(parts) else ""
-
-
 def make_sort_key(opts) -> Callable[[str], Tuple]:
     """Build the GNU-compatible sort key. The key tuple always ends with the
     whole line (the last-resort comparison); ``-r`` is applied globally by

@@ -12,34 +12,16 @@ line lists; the metamorphic tests assert ``run_dfg_seq(parallelize(g, w))
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.annotations.model import Resolved
 from repro.commands.base import CommandError, ExecEnv, run_cli
-from repro.dfg.graph import DFG, Node, split_chunks
+from repro.dfg.graph import DFG, Edge, Node, split_chunks
 from repro.runtime.aggregators import aggregate
 from repro.shell.ast import AndOr, ForLoop, Pipeline, Script, SimpleCommand, Subshell
 from repro.shell.expand import expand_word
 
 from .frontend import CompiledScript, Step, compile_script
-
-
-class _Overlay(ExecEnv):
-    """ExecEnv view with per-node file bindings shadowing the base env."""
-
-    def __init__(self, base: ExecEnv, overlay: Dict[str, List[str]]):
-        self.base = base
-        self.overlay = overlay
-        self.ftypes = base.ftypes
-
-    @property
-    def files(self):  # type: ignore[override]
-        return self  # minimal mapping protocol via read()
-
-    def read(self, name: str) -> List[str]:
-        if name in self.overlay:
-            return self.overlay[name]
-        return self.base.read(name)
 
 
 def exec_node(node: Node, in_streams: List[List[str]],
@@ -60,8 +42,29 @@ def exec_node(node: Node, in_streams: List[List[str]],
                 overlay[res.operands[spec]] = lines
     for idx, lines in zip(res.static_inputs, static_streams):
         overlay[res.operands[idx]] = lines
-    env2 = _Overlay(env, overlay) if overlay else env
-    return run_cli(node.cmd, list(node.argv), stdin, env2)
+    if overlay:
+        env = ExecEnv(files={**env.files, **overlay}, ftypes=env.ftypes)
+    return run_cli(node.cmd, list(node.argv), stdin, env)
+
+
+def read_input(e: Edge, env: ExecEnv, stdin: Optional[List[str]]) -> List[str]:
+    """The lines of graph input ``e``: the ``stdin`` argument for the
+    ``"<stdin>"`` label, else the file the label names."""
+    assert e.src is None, f"edge {e.eid} consumed before produced"
+    return list(stdin or []) if e.label == "<stdin>" else env.read(e.label or "")
+
+
+def write_outputs(g: DFG, lines_of: Callable[[int], List[str]], env: ExecEnv) -> List[str]:
+    """Route the graph's output edges in order: a ``file`` edge's lines
+    go to ``env.files``, the others are concatenated and returned (stdout)."""
+    out: List[str] = []
+    for eid in g.graph_outputs():
+        e = g.edges[eid]
+        if e.kind == "file" and e.label:
+            env.files[e.label] = lines_of(eid)
+        else:
+            out.extend(lines_of(eid))
+    return out
 
 
 def run_dfg_seq(g: DFG, env: ExecEnv, stdin: Optional[List[str]] = None,
@@ -77,11 +80,7 @@ def run_dfg_seq(g: DFG, env: ExecEnv, stdin: Optional[List[str]] = None,
         if eid in values:
             return values[eid]
         e = g.edges[eid]
-        assert e.src is None, f"edge {eid} consumed before produced"
-        if e.label == "<stdin>":
-            v = list(stdin or [])
-        else:
-            v = env.read(e.label or "")
+        v = read_input(e, env, stdin)
         if e.chunk is not None:  # static file chunking (see Edge.chunk)
             k, w = e.chunk
             v = split_chunks(v, w)[k]
@@ -93,8 +92,7 @@ def run_dfg_seq(g: DFG, env: ExecEnv, stdin: Optional[List[str]] = None,
         ins = [edge_value(e) for e in n.inputs]
         sts = [edge_value(e) for e in n.statics]
         if n.kind in ("cmd", "map"):
-            out = exec_node(n, ins, sts, env)
-            values[n.outputs[0]] = out
+            values[n.outputs[0]] = exec_node(n, ins, sts, env)
         elif n.kind == "cat":
             values[n.outputs[0]] = [l for s in ins for l in s]
         elif n.kind == "split":
@@ -111,15 +109,7 @@ def run_dfg_seq(g: DFG, env: ExecEnv, stdin: Optional[List[str]] = None,
     if record is not None:
         for eid, v in values.items():
             record[eid] = len(v)
-    outs = g.graph_outputs()
-    result: List[str] = []
-    for eid in outs:
-        e = g.edges[eid]
-        if e.kind == "file" and e.label:
-            env.files[e.label] = values[eid]
-        else:
-            result.extend(values[eid])
-    return result
+    return write_outputs(g, values.__getitem__, env)
 
 
 # --------------------------------------------------------------------------

@@ -17,25 +17,33 @@ width sinks, §6.1's "No Split") is made once, in ``parallelize``:
 * ``cmd`` and ``relay`` nodes run on the driver.
 
 Streams hold one row per chunk, so a region samples and caches nothing and
-leaves no state in the session.
+leaves no state in the session. A ``CommandError`` raised in a Spark task
+reaches the caller as ``CommandError``, as on the sequential backend.
 """
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple, Union
 
+from pyspark.errors import PythonException
 from pyspark.sql import SparkSession
 
-from repro.commands.base import ExecEnv
+from repro.commands.base import CommandError, ExecEnv
 from repro.dfg.graph import DFG, Node
 from repro.dfg.transform import parallelize
 from repro.runtime.aggregators import AGGREGATORS
 from repro.runtime.stream import AggFn, SparkStream
 
-from .backend_seq import exec_node
+from .backend_seq import exec_node, read_input, write_outputs
 
 # commands that read the simulated environment (vfs / network / file types)
 # at runtime and therefore need it captured into their task closures
 _ENV_READERS = {"xargs", "curl", "file"}
+
+# the last line of a task's traceback when a command rejected its input
+_TASK_COMMAND_ERROR = re.compile(
+    rf"^{re.escape(CommandError.__module__)}\.CommandError: (.*)\s*\Z", re.M)
 
 # an edge's value: lines on the driver, a whole stream, or lane k of a stream
 Value = Union[List[str], SparkStream, Tuple[SparkStream, int]]
@@ -52,6 +60,19 @@ def _node_fn(node: Node, statics: List[List[str]], env_files: Dict[str, List[str
     return fn
 
 
+@contextmanager
+def _command_errors():
+    """Re-raise a ``CommandError`` that a Spark task raised as itself."""
+    try:
+        yield
+    except PythonException as e:
+        m = _TASK_COMMAND_ERROR.search(str(e))
+        if m is None:
+            raise
+        raise CommandError(m.group(1)) from e
+
+
+@_command_errors()
 def run_dfg_spark(
     spark: SparkSession,
     g: DFG,
@@ -71,8 +92,7 @@ def run_dfg_spark(
     def value(eid: int) -> Value:
         if eid not in values:
             e = pg.edges[eid]
-            assert e.src is None, f"edge {eid} consumed before produced"
-            v = list(stdin or []) if e.label == "<stdin>" else env.read(e.label or "")
+            v = read_input(e, env, stdin)
             if e.chunk is not None:
                 k, w = e.chunk
                 if (e.label, w) not in ingested:
@@ -150,13 +170,4 @@ def run_dfg_spark(
         else:
             raise ValueError(f"unknown node kind {n.kind}")
         values.update(zip(n.outputs, outs))
-
-    result: List[str] = []
-    for eid in pg.graph_outputs():
-        e = pg.edges[eid]
-        out = lines(values[eid])
-        if e.kind == "file" and e.label:
-            env.files[e.label] = out
-        else:
-            result.extend(out)
-    return result
+    return write_outputs(pg, lambda eid: lines(values[eid]), env)

@@ -1,5 +1,5 @@
-"""PaSh runtime component (§5): the aggregator library, split semantics,
-and the Spark realization of streams (eager ≙ materialized buffers)."""
+"""PaSh runtime component (§5): the aggregator library and the Spark
+realization of streams, whose chunks travel as Arrow record batches."""
 from .aggregators import AGGREGATORS, aggregate
 
 __all__ = ["AGGREGATORS", "aggregate"]

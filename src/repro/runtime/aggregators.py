@@ -21,7 +21,7 @@ from typing import Callable, Dict, List
 
 from repro.annotations.model import Resolved
 from repro.commands.custom import ngrams_agg
-from repro.commands.sortcmds import make_sort_key, merge_sorted
+from repro.commands.sortcmds import make_sort_key, merge_sorted, numeric_value
 
 
 def _agg_sort_m(parts: List[List[str]], spec: Resolved) -> List[str]:
@@ -45,23 +45,15 @@ def _agg_sort_m(parts: List[List[str]], spec: Resolved) -> List[str]:
     if not spec.opts.get("n") and not spec.opts.get("k"):
         return sorted(flat, reverse=rev)
     if spec.opts.get("n") and not spec.opts.get("k"):
-        # vectorized numeric merge — the paper's point that PaSh ships a
-        # library of *highly-optimized* aggregators (§5): the merge stage
-        # need not pay the command's per-line key cost
+        # one lexsort on (number, line) — the paper's point that PaSh ships
+        # a library of *highly-optimized* aggregators (§5): the merge stage
+        # builds no per-line key tuples
         import numpy as np
-        import pandas as pd
 
-        s = pd.Series(flat, dtype="object")
-        tok = s.str.extract(r"^[ \t]*(-?\d*\.?\d*)", expand=False)
-        nums = pd.to_numeric(
-            tok.replace({"": None, "-": None, ".": None, "-.": None}),
-            errors="coerce",
-        ).fillna(0.0).to_numpy()
-        order = np.lexsort((np.asarray(flat, dtype=object), nums))
-        if rev:
-            order = order[::-1]
+        nums = np.fromiter(map(numeric_value, flat), float, len(flat))
         arr = np.asarray(flat, dtype=object)
-        return arr[order].tolist()
+        order = np.lexsort((arr, nums))
+        return arr[order[::-1] if rev else order].tolist()
     return sorted(flat, key=key, reverse=rev)
 
 

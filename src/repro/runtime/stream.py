@@ -8,9 +8,15 @@ chunk, so no partitioning can split one, and a chunk with no lines is an
 empty array that still runs its map chain — ``wc -l`` or ``grep -c`` print
 ``0`` for it, as the replicated command would.
 
+**One format.** In Python a chunk is only ever a one-row Arrow record
+batch, as PaSh's is only ever bytes in a pipe: :func:`_batch` builds every
+chunk and :func:`_chunks` reads every chunk, from ingest through the map
+and ``split`` tasks to the sink's ``toArrow``. No session setting picks the
+path: ``arrow.pyspark.enabled`` only switches ``toPandas``.
+
 Mapping of PaSh runtime primitives (§5) onto Spark:
 
-* map stage  -> fused ``mapInPandas`` running the black-box command chain
+* map stage  -> fused ``mapInArrow`` running the black-box command chain
   on every chunk row (the n replicated nodes of transformation T;
   consecutive per-chunk stages fuse into one Spark stage — exactly PaSh's
   process-chain-per-width-lane execution),
@@ -19,12 +25,9 @@ Mapping of PaSh runtime primitives (§5) onto Spark:
   runs over the ordered chunks and its output is re-chunked into ``width``
   contiguous pieces (count, then disperse, like PaSh's split process), then
   ``repartitionById(width, "p")`` places chunk ``k`` in partition ``k``,
-* sink       -> ``collect_lines`` brings the ordered chunks to the driver
-  and runs the aggregator there (plain concatenation by default),
+* sink       -> ``collect_lines`` collects the ordered chunks with
+  ``toArrow`` and runs the aggregator on the driver (plain concatenation),
 * ``cat``    -> union with bundle-offset on ``p`` (order-preserving).
-
-There is no ``eager``: Spark's scheduler has no pipe laziness (those
-pathologies are studied in :mod:`repro.pipesim`).
 
 **Placement.** Ingest is one ``createDataFrame`` of an Arrow table with one
 record batch per chunk, with no shuffle, sampling or cache. Below
@@ -47,26 +50,24 @@ strings and arithmetic goes through ``selectExpr``.
 ``zipimporter`` re-read its whole archive directory, and the worker's path
 holds three archives (``pyspark.zip``, the py4j zip, the spark-core jar):
 about 0.2 s per task, more than a 5k-line ``tr | sort`` chunk costs. Both
-``mapInPandas`` functions therefore start with :func:`_keep_zip_directories`,
+``mapInArrow`` functions therefore start with :func:`_keep_zip_directories`,
 which makes the re-read a no-op for the rest of that worker's life. The
 archives do not change while a worker lives; directory finders are still
 invalidated, and a zip newly put on the path (``addPyFile``) gets a new
 importer that reads it.
 
 **Limit.** Arrow's 32-bit offsets cap one record batch at 2 GiB of text.
-Every batch built here holds one chunk, and Spark cuts the batches it feeds
-a Python stage at ``arrow.maxBytesPerBatch`` (64 MiB) but never inside a
-row, so a chunk must stay under 2 GiB. A sink's ``toPandas`` gets each
-partition as one batch: chunks share a partition only after a
-local-relation ingest, so a map chain must not grow such a partition
-beyond 2 GiB.
+Spark cuts the batches it sends a Python task at ``arrow.maxBytesPerBatch``
+(64 MiB) and those ``toArrow`` sends the driver at
+``arrow.maxRecordsPerBatch`` (10000 rows), never inside a row. So a chunk
+must stay under 2 GiB, and so must the rows one partition sends the sink
+in one batch: chunks share a partition only after a local-relation ingest.
 """
 from __future__ import annotations
 
 import zipimport
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-import pandas as pd
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import ArrayType, IntegerType, StringType, StructField, StructType
@@ -82,25 +83,23 @@ ChunkFn = Callable[[List[str]], List[str]]
 AggFn = Callable[[List[List[str]]], List[str]]
 
 
-def _row(p: int, lines: List[str]) -> pd.DataFrame:
-    """The one-row frame of chunk ``p``."""
-    return pd.DataFrame({"p": pd.Series([p], dtype="int32"),
-                         "lines": pd.Series([lines], dtype="object")})
+def _batch(p: int, lines: List[str]) -> pa.RecordBatch:
+    """Chunk ``p`` as a one-row Arrow record batch, the one chunk format."""
+    return pa.record_batch([[p], [lines]], schema=_ARROW_SCHEMA)
 
 
-def _table(parts: List[List[str]]) -> pa.Table:
-    """Chunks ``0 .. len(parts)-1``, one Arrow record batch each."""
-    return pa.Table.from_batches(
-        [pa.record_batch([[k], [part]], schema=_ARROW_SCHEMA)
-         for k, part in enumerate(parts)], schema=_ARROW_SCHEMA)
+def _chunks(batches: Iterable[pa.RecordBatch]) -> Iterator[Tuple[int, List[str]]]:
+    """``(p, lines)`` of every chunk row in ``batches``."""
+    for b in batches:
+        for p, lines in zip(b.column("p").to_pylist(), b.column("lines")):
+            yield p, lines.values.to_numpy(zero_copy_only=False).tolist()
 
 
-def _parts(pdfs: Iterable[pd.DataFrame], n_parts: int) -> List[List[str]]:
-    """The lines of chunks ``0 .. n_parts-1`` from their rows in ``pdfs``."""
+def _parts(batches: Iterable[pa.RecordBatch], n_parts: int) -> List[List[str]]:
+    """The lines of chunks ``0 .. n_parts-1`` from their rows in ``batches``."""
     parts: List[List[str]] = [[] for _ in range(n_parts)]
-    for pdf in pdfs:
-        for p, lines in zip(pdf["p"].tolist(), pdf["lines"]):
-            parts[p] = list(lines)
+    for p, lines in _chunks(batches):
+        parts[p] = lines
     return parts
 
 
@@ -119,30 +118,28 @@ def _keep_zip_directories() -> None:
 
 
 def _apply_chain(fns: List[ChunkFn]):
-    """mapInPandas fn: run the fused chunk-function chain on every chunk
-    row of this partition, empty chunks included, one output frame each."""
+    """mapInArrow fn: run the fused chunk-function chain on every chunk
+    row of this partition, empty chunks included, one output batch each."""
 
     def apply(batches):
         _keep_zip_directories()
-        for pdf in batches:
-            for p, lines in zip(pdf["p"].tolist(), pdf["lines"]):
-                lines = list(lines)
-                for f in fns:
-                    lines = f(lines)
-                yield _row(p, lines)
+        for p, lines in _chunks(batches):
+            for f in fns:
+                lines = f(lines)
+            yield _batch(p, lines)
 
     return apply
 
 
 def _agg_split(agg: AggFn, n_parts: int, width: int):
-    """mapInPandas fn of a ``split``: the aggregator over all ``n_parts``
+    """mapInArrow fn of a ``split``: the aggregator over all ``n_parts``
     chunks, re-chunked into ``width`` — one single-partition task, like
     PaSh's aggregator process piped into its split."""
 
     def apply(batches):
         _keep_zip_directories()
         for k, part in enumerate(split_chunks(agg(_parts(batches, n_parts)), width)):
-            yield _row(k, part)
+            yield _batch(k, part)
 
     return apply
 
@@ -164,14 +161,15 @@ class SparkStream:
         """Distribute ``lines`` pre-chunked into ``width`` contiguous chunks
         (static file chunking — no runtime split needed for file inputs),
         as ``split_chunks`` cuts them."""
-        df = spark.createDataFrame(_table(split_chunks(lines, width)), schema=SCHEMA)
-        return SparkStream(df, width)
+        table = pa.Table.from_batches(
+            [_batch(k, part) for k, part in enumerate(split_chunks(lines, width))])
+        return SparkStream(spark.createDataFrame(table, schema=SCHEMA), width)
 
     def _pre_df(self) -> DataFrame:
         """The chunk rows with the pending chunk functions applied."""
         if not self.pending:
             return self.df
-        return self.df.mapInPandas(_apply_chain(list(self.pending)), SCHEMA)
+        return self.df.mapInArrow(_apply_chain(list(self.pending)), SCHEMA)
 
     # -- structural ops --------------------------------------------------------
     @staticmethod
@@ -193,7 +191,7 @@ class SparkStream:
         stage boundary (so the maps keep their width) — PaSh's agg | split
         process pair — then place chunk ``k`` in partition ``k``."""
         df = self._pre_df().repartition(1) \
-            .mapInPandas(_agg_split(agg, self.n_parts, width), SCHEMA) \
+            .mapInArrow(_agg_split(agg, self.n_parts, width), SCHEMA) \
             .repartitionById(width, "p")
         return SparkStream(df, width)
 
@@ -206,12 +204,9 @@ class SparkStream:
     # -- sinks -----------------------------------------------------------------
     def collect_parts(self) -> List[List[str]]:
         """Collect the ordered chunks — the aggregator's input streams."""
-        return _parts([self._pre_df().toPandas()], self.n_parts)
+        return _parts(self._pre_df().toArrow().to_batches(), self.n_parts)
 
     def collect_lines(self, agg: AggFn = _concat) -> List[str]:
         """The ordered chunks through ``agg`` on the driver: PaSh's
         aggregator at a sink, one transfer of the map outputs."""
         return agg(self.collect_parts())
-
-    def count(self) -> int:
-        return len(self.collect_lines())

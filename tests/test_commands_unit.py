@@ -149,6 +149,14 @@ class TestEdgeCases:
     def test_wc_empty(self):
         assert run_cli("wc", ["-l"], [], ExecEnv()) == ["0"]
 
+    def test_wc_bytes_and_characters(self):
+        # -c counts UTF-8 bytes, -m characters; GNU prints characters first
+        lines = ["abc", "dé"]
+        assert run_cli("wc", ["-c"], lines, ExecEnv()) == ["8"]
+        assert run_cli("wc", ["-m"], lines, ExecEnv()) == ["7"]
+        for flags in (["-cm"], ["-mc"]):
+            assert run_cli("wc", flags, lines, ExecEnv()) == ["      7       8"]
+
     def test_head_more_than_available(self):
         assert run_cli("head", ["-n", "10"], ["a"], ExecEnv()) == ["a"]
 

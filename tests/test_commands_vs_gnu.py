@@ -29,6 +29,15 @@ def corpus(seed, n=300):
             for _ in range(n)]
 
 
+def utf8_corpus(seed, n=300):
+    """``corpus`` with multi-byte UTF-8 words, whose characters and bytes
+    differ in number."""
+    random.seed(seed * 31 + 11)
+    words = ["apple", "dé", "😀", "naïve", "日本語", "Ωmega", "42", "z"]
+    return [" ".join(random.choices(words, k=random.randint(0, 8)))
+            for _ in range(n)]
+
+
 def alpha_corpus(seed, n=300):
     """Lines that start with a letter and are non-empty.
 
@@ -121,6 +130,20 @@ CASES = [
 def test_command_matches_gnu(name, args, sh, seed):
     lines = corpus(seed)
     assert run_cli(name, args, lines, ExecEnv()) == gnu(sh, lines)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("args,sh", [(["-c"], "wc -c"), ([], "wc")], ids=["wc -c", "wc"])
+def test_wc_counts_utf8_bytes_like_gnu(args, sh, seed):
+    lines = utf8_corpus(seed)
+    assert run_cli("wc", args, lines, ExecEnv()) == gnu(sh, lines)
+
+
+def test_wc_words_like_gnu_on_edge_bytes():
+    # in the C locale a word needs a printable ASCII byte, and only ASCII
+    # whitespace separates words (not U+00A0 or the \x1c-\x1f separators)
+    lines = ["😀 a", "😀", "a😀b", "x 😀 y", "é", "\x01", "a\x1cb", "a\xa0b", "", "a\tb"]
+    assert run_cli("wc", ["-w"], lines, ExecEnv()) == gnu("wc -w", lines) == ["8"]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

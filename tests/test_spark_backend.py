@@ -11,8 +11,9 @@ import pandas as pd
 import pytest
 from pyspark import TaskContext
 
-from repro.commands.base import ExecEnv
+from repro.commands.base import CommandError, ExecEnv
 from repro.compiler import pash_seq, pash_spark
+from repro.dfg.graph import split_chunks
 from repro.oracle import assert_equivalent
 from repro.runtime.stream import SparkStream
 from repro.workloads import ONELINERS, UNIX50
@@ -41,7 +42,7 @@ class TestStream:
 
     def test_empty_stream(self, spark):
         st = SparkStream.from_lines(spark, [])
-        assert st.collect_lines() == [] and st.count() == 0
+        assert st.collect_lines() == []
 
     def test_cat_preserves_order(self, spark):
         a = SparkStream.from_lines(spark, ["a1", "a2"], 2)
@@ -129,6 +130,19 @@ class TestStream:
         assert len(ids) == width
         assert max(Counter(ids).values()) <= per_task
 
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_non_ascii_and_empty_lines(self, spark, width):
+        # every chunk is an Arrow batch from ingest through map and split
+        # to the sink: multi-byte text and empty strings come back as sent
+        lines = ["dé", "", "😀 z", "a", "", "日本 語", ""] * 3
+        mapped = [l for part in split_chunks(lines, width) for l in ["é"] + part + [""]]
+        st = SparkStream.from_lines(spark, lines, width)
+        assert st.collect_parts() == split_chunks(lines, width)
+        st = st.per_chunk(lambda ls: ["é"] + ls + [""]).split(width)
+        assert st.collect_parts() == split_chunks(mapped, width)
+        assert st.per_chunk(lambda ls: ls[::-1]).collect_parts() == \
+            [part[::-1] for part in split_chunks(mapped, width)]
+
     def test_cat_keeps_chunk_order(self, spark):
         a = SparkStream.from_lines(spark, ["a1", "a2"], 5)
         b = SparkStream.from_lines(spark, ["b1", "b2", "b3", "b4"], 3)
@@ -184,6 +198,20 @@ def test_spark_empty_chunks(spark, script, lines, width, expected):
     env = ExecEnv(files={"in.txt": lines})
     assert pash_seq(script, fresh(env)) == expected
     assert pash_spark(spark, script, fresh(env), width=width) == expected
+
+
+@pytest.mark.parametrize("script,message", [
+    ("cat in.txt | grep", "grep: missing pattern"),
+    ("cat in.txt | sort -k 2", "sort: -k requires an explicit -t separator here"),
+])
+def test_command_errors_match_across_backends(spark, corpus_env, script, message):
+    # the command fails inside a Spark task at width 4
+    with pytest.raises(CommandError) as seq:
+        pash_seq(script, fresh(corpus_env))
+    with pytest.raises(CommandError) as par:
+        pash_spark(spark, script, fresh(corpus_env), width=4)
+    assert type(seq.value) is type(par.value) is CommandError
+    assert str(seq.value) == str(par.value) == message
 
 
 ALL_WL = list(ONELINERS.items()) + list(UNIX50.items())
@@ -297,6 +325,36 @@ def test_pash_spark_leaves_arrow_batch_size(spark, corpus_env):
             spark.conf.unset(key)
         else:
             spark.conf.set(key, prev)
+
+
+# the session settings that change how Spark moves Arrow data or picks the
+# collection path; the stream's output must not depend on any of them
+ARROW_SETTINGS = [
+    ("spark.sql.execution.arrow.pyspark.enabled", "false"),
+    ("spark.sql.execution.arrow.pyspark.enabled", "true"),
+    ("spark.sql.execution.arrow.useLargeVarTypes", "true"),
+    ("spark.sql.execution.arrow.pyspark.selfDestruct.enabled", "true"),
+]
+
+
+@pytest.mark.parametrize("key,value", ARROW_SETTINGS)
+@pytest.mark.parametrize("script", [SORT_SORT, "cat in.txt in2.txt | sort -u"])
+def test_spark_equals_seq_under_arrow_settings(spark, script, key, value):
+    lines = text_corpus(400, seed=2)
+    env = ExecEnv(files={
+        "in.txt": [x for l in lines for x in (l, "dé", "")],
+        "in2.txt": ["😀 z", "", "Éa"] * 20 + lines[:50],
+    })
+    prev = spark.conf.get(key, None)
+    spark.conf.set(key, value)
+    try:
+        par = pash_spark(spark, script, fresh(env), width=4)
+    finally:
+        if prev is None:
+            spark.conf.unset(key)
+        else:
+            spark.conf.set(key, prev)
+    assert par == pash_seq(script, fresh(env))
 
 
 def test_pash_spark_builds_no_columns(spark, corpus_env, monkeypatch):
