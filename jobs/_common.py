@@ -30,7 +30,6 @@ def get_spark(app: str) -> SparkSession:
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.shuffle.partitions",
                 os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
         .config("spark.driver.maxResultSize", "0")

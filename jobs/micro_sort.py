@@ -44,6 +44,7 @@ def run(spark, *, n_lines: int = 1_500_000, widths=None) -> List[Dict]:
     t0 = time.perf_counter()
     native = sdf.orderBy("line").toArrow().column("line").to_numpy().tolist()
     t_native = time.perf_counter() - t0
+    sdf.unpersist()  # leave nothing cached in the caller's session
     assert native == seq_out
     rows.append({"system": "seq (baseline)", "width": "-", "time": f"{t_seq:.2f}s",
                  "speedup": "1.00x"})

@@ -16,37 +16,22 @@ from _common import get_spark, print_table
 
 def run(spark, *, scale: float = 1.0, width: int = 16) -> List[Dict]:
     from repro.commands.base import ExecEnv
+    from repro.compiler import pash_seq
     from repro.workloads import noaa
     from repro.workloads.harness import measure_seq, measure_spark
 
     rows: List[Dict] = []
     base_env = noaa.make_env(scale)
-
-    def fresh():
-        return ExecEnv(files=dict(base_env.files), ftypes=dict(base_env.ftypes))
-
-    # preprocessing writes temps_<y>.txt into its env; compute reads them —
-    # run each phase from a fresh env so timings do not interact
-    from repro.compiler import pash_seq, pash_spark
-    import time
-
-    phases = [("full", noaa.FULL, None), ("preprocessing", noaa.PREPROC, None)]
-    # compute phase needs the preprocessed files present
-    pre_env = fresh()
+    # the processing phase reads the temps_<y>.txt files that
+    # preprocessing writes; each measurement runs on a copy of its env
+    pre_env = ExecEnv(files=dict(base_env.files), ftypes=dict(base_env.ftypes))
     pash_seq(noaa.PREPROC, pre_env)
-    phases.append(("processing", noaa.COMPUTE, pre_env))
+    phases = [("full", noaa.FULL, base_env), ("preprocessing", noaa.PREPROC, base_env),
+              ("processing", noaa.COMPUTE, pre_env)]
 
-    for name, script, env0 in phases:
-        env_s = ExecEnv(files=dict((env0 or base_env).files),
-                        ftypes=dict((env0 or base_env).ftypes))
-        t0 = time.perf_counter()
-        seq_out = pash_seq(script, env_s)
-        t_seq = time.perf_counter() - t0
-        env_p = ExecEnv(files=dict((env0 or base_env).files),
-                        ftypes=dict((env0 or base_env).ftypes))
-        t0 = time.perf_counter()
-        par_out = pash_spark(spark, script, env_p, width=width)
-        t_par = time.perf_counter() - t0
+    for name, script, env in phases:
+        seq_out, t_seq = measure_seq(script, env)
+        par_out, t_par = measure_spark(spark, script, env, width=width)
         assert par_out == seq_out, name
         rows.append({
             "phase": name,

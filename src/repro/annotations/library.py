@@ -6,11 +6,13 @@ commands whose one-record annotations the paper highlights).
 Records are plain JSON-serializable dicts — tests round-trip them through
 ``json`` to keep the "lightweight JSON annotation language" claim honest.
 
-Class P clauses name their ``aggregator`` (a key into
-:mod:`repro.runtime.aggregators`) and optionally a ``map_argv`` override
+Class P clauses name their ``aggregator``: ``rerun``, which runs the
+command itself with its own flags over the concatenated map outputs, or a
+key into :mod:`repro.runtime.aggregators` when the aggregator is not the
+command (``uniq -c``, ``wc``...). A clause may add a ``map_argv`` override
 (``$argv`` splices the original argv) when the map stage differs from the
-command itself — e.g. ``cat -n``'s map is plain ``cat`` and its aggregator
-numbers the concatenation.
+command itself — e.g. ``cat -n``'s map is plain ``cat``, and ``cat -n``
+itself numbers the concatenation.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ LIBRARY: Dict[str, Dict] = {
         "parse": {"flags": "n"},
         "cases": [
             {"predicate": _ex("-n"), "class": P, "inputs": ["args"],
-             "outputs": ["stdout"], "aggregator": "cat_n", "map_argv": ["cat"]},
+             "outputs": ["stdout"], "aggregator": "rerun", "map_argv": ["cat"]},
             {"predicate": "default", "class": S, "inputs": ["args"], "outputs": ["stdout"]},
         ],
         "options": ["stdin-hyphen", "short-combined"],
@@ -88,7 +90,7 @@ LIBRARY: Dict[str, Dict] = {
             # -m in a user script: already a merge; leave sequential
             {"predicate": _ex("-m"), "class": N, "inputs": ["args"], "outputs": ["stdout"]},
             {"predicate": "default", "class": P, "inputs": ["args"],
-             "outputs": ["stdout"], "aggregator": "sort_m"},
+             "outputs": ["stdout"], "aggregator": "rerun"},
         ],
         "options": ["stdin-hyphen", "short-combined"],
     },
@@ -100,7 +102,7 @@ LIBRARY: Dict[str, Dict] = {
              "outputs": ["stdout"], "aggregator": "uniq_c"},
             {"predicate": _ex("-d"), "class": N, "inputs": ["args"], "outputs": ["stdout"]},
             {"predicate": "default", "class": P, "inputs": ["args"],
-             "outputs": ["stdout"], "aggregator": "uniq"},
+             "outputs": ["stdout"], "aggregator": "rerun"},
         ],
         "options": ["stdin-hyphen", "short-combined"],
     },
@@ -109,7 +111,7 @@ LIBRARY: Dict[str, Dict] = {
         "parse": {"with_arg": "n"},
         "cases": [
             {"predicate": "default", "class": P, "inputs": ["args"],
-             "outputs": ["stdout"], "aggregator": "head"},
+             "outputs": ["stdout"], "aggregator": "rerun"},
         ],
         "options": ["stdin-hyphen", "short-combined"],
     },
@@ -121,7 +123,7 @@ LIBRARY: Dict[str, Dict] = {
             {"predicate": _rx("opt[n]", r"^\+"),
              "class": N, "inputs": ["args"], "outputs": ["stdout"]},
             {"predicate": "default", "class": P, "inputs": ["args"],
-             "outputs": ["stdout"], "aggregator": "tail"},
+             "outputs": ["stdout"], "aggregator": "rerun"},
         ],
         "options": ["stdin-hyphen", "short-combined"],
     },
@@ -185,7 +187,7 @@ LIBRARY: Dict[str, Dict] = {
         "command": "nl",
         "parse": {},
         "cases": [{"predicate": "default", "class": P, "inputs": ["args"],
-                   "outputs": ["stdout"], "aggregator": "nl", "map_argv": ["cat"]}],
+                   "outputs": ["stdout"], "aggregator": "rerun", "map_argv": ["cat"]}],
         "options": ["stdin-hyphen"],
     },
     "col": {

@@ -56,10 +56,19 @@ class Resolved:
     opts: Dict[str, object] = field(default_factory=dict)
     operands: List[str] = field(default_factory=list)
     operand_pos: List[int] = field(default_factory=list)  # argv index per operand
+    argv: List[str] = field(default_factory=list)  # the invocation's argv
 
     @property
     def short(self) -> str:
         return SHORT[self.cls]
+
+    @property
+    def stdin_argv(self) -> List[str]:
+        """``argv`` without its streaming file operands: the invocation that
+        reads the concatenation of its streaming inputs from stdin. Static
+        operands stay."""
+        drop = {self.operand_pos[i] for i in self.inputs if i != "stdin"}
+        return [a for j, a in enumerate(self.argv) if j not in drop]
 
 
 def _eval_predicate(pred, opts: Dict[str, object], operands: List[str]) -> bool:
@@ -168,6 +177,7 @@ def resolve(record: Dict, argv: Sequence[str]) -> Resolved:
             opts=opts,
             operands=operands,
             operand_pos=positions,
+            argv=list(argv),
         )
     return Resolved(name, CLASS_E)  # no clause matched: conservative
 

@@ -43,9 +43,7 @@ def wc(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
             counts.append(len(lines))
         elif f == "w":
             counts.append(sum(_words(l) for l in lines))
-        elif f == "m":  # characters incl. newlines
-            counts.append(sum(len(l) + 1 for l in lines))
-        else:  # c: UTF-8 bytes incl. newlines
+        else:  # m, c: UTF-8 bytes incl. newlines (LC_ALL=C: a char is a byte)
             counts.append(sum(len(l.encode()) + 1 for l in lines))
     if operands and operands[0] != "-":
         body = " ".join(str(c) for c in counts) if len(counts) == 1 else " ".join(

@@ -4,7 +4,11 @@
 leading-numeric comparison with whole-line last-resort tiebreak, ``-r``
 reversing the total order, ``-u`` keeping the first of equal keys, ``-k``
 field keys (supported with an explicit ``-t`` separator), and ``-m``
-merging already-sorted inputs (the aggregator the paper highlights §5).
+merging already-sorted inputs. The aggregator of a parallel sort is sort
+itself with the same flags (``rerun``): Timsort's run detection merges the
+concatenated sorted runs near-linearly, the cost profile of PaSh's
+``sort -m`` aggregator (§5). ``uniq -i`` folds ASCII letters only, as
+under ``LC_ALL=C``.
 """
 from __future__ import annotations
 
@@ -96,6 +100,14 @@ def sort_cmd(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
             out = sorted(lines, key=lambda l: key(l)[:-1], reverse=rev)
         elif not opts.get("n") and not opts.get("k"):
             out = sorted(lines, reverse=rev)  # C-speed byte order
+        elif not opts.get("k"):
+            # -n: one lexsort on (number, line) builds no per-line key tuples
+            import numpy as np
+
+            nums = np.fromiter(map(numeric_value, lines), float, len(lines))
+            arr = np.asarray(lines, dtype=object)
+            order = np.lexsort((arr, nums))
+            out = arr[order[::-1] if rev else order].tolist()
         else:
             out = sorted(lines, key=key, reverse=rev)
     if opts.get("u"):
@@ -111,7 +123,7 @@ def sort_cmd(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
 
 
 def merge_sorted(streams: List[List[str]], *, key, reverse: bool = False) -> List[str]:
-    """k-way stable merge of sorted runs — the ``sort`` aggregator (§5)."""
+    """k-way stable merge of sorted runs: ``sort -m``."""
     import heapq
 
     class _Rev:
@@ -130,15 +142,22 @@ def merge_sorted(streams: List[List[str]], *, key, reverse: bool = False) -> Lis
     return list(heapq.merge(*streams, key=wrap))
 
 
+_ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
+
+
+def fold_case(s: str) -> str:
+    """``uniq -i``'s case fold under ``LC_ALL=C``: ASCII letters only."""
+    return s.lower() if s.isascii() else s.translate(_ASCII_LOWER)
+
+
 @register("uniq")
 def uniq(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
     opts, operands = parse_opts(argv, flags="cdi")
     lines = resolve_streams(operands, stdin, env)
     groups: List[Tuple[str, int]] = []
-    fold = bool(opts.get("i"))
+    fold = fold_case if opts.get("i") else str
     for l in lines:
-        cmp_l = l.lower() if fold else l
-        if groups and (groups[-1][0].lower() if fold else groups[-1][0]) == cmp_l:
+        if groups and fold(groups[-1][0]) == fold(l):
             groups[-1] = (groups[-1][0], groups[-1][1] + 1)
         else:
             groups.append((l, 1))

@@ -87,7 +87,8 @@ def compile_grep_pattern(pat: str, *, ere: bool, fixed: bool, icase: bool) -> re
         body = _posix_classes_everywhere(pat)
     else:
         body = bre_to_python(pat)
-    return re.compile(body, re.IGNORECASE if icase else 0)
+    # LC_ALL=C: \w, \b and -i's case fold cover ASCII only
+    return re.compile(body, re.ASCII | (re.IGNORECASE if icase else 0))
 
 
 def _posix_classes_everywhere(pat: str) -> str:

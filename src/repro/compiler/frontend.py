@@ -39,8 +39,6 @@ class Step:
     kind: str  # "dfg" | "opaque"
     dfg: Optional[DFG] = None
     ast: object = None
-    # for dfg steps: where the region's output goes ("stdout" or a file name)
-    sink: str = "stdout"
 
 
 @dataclass
@@ -213,8 +211,8 @@ def _compile_into(script: Script, cs: CompiledScript) -> None:
                 continue
             try:
                 rb = _RegionBuilder(dict(cs.env))
-                _, sink = rb.build_pipeline(item)
-                cs.steps.append(Step("dfg", dfg=rb.g, sink=sink))
+                rb.build_pipeline(item)
+                cs.steps.append(Step("dfg", dfg=rb.g))
             except _NotConvertible:
                 cs.steps.append(Step("opaque", ast=item))
         elif isinstance(item, AndOr):

@@ -33,21 +33,20 @@ from repro.annotations.model import CLASS_P, CLASS_S, Resolved
 
 from .graph import DFG, Edge, Node
 
-# aggregators that are associative and closed under composition -> binary
-# tree; the rest get one n-ary aggregator node
-BINARY_AGGS = {"sort_m", "uniq", "uniq_c", "wc", "sum", "head", "tail", "tac"}
+# aggregators that compose pairwise -> balanced binary tree; the rest get
+# one n-ary aggregator node. Pairwise composition feeds an aggregator's
+# output back in as a part, so it needs parts the command itself produced:
+# a clause with a ``map_argv`` (cat -n and nl map with plain cat) gets the
+# n-ary node whatever its aggregator.
+BINARY_AGGS = {"rerun", "uniq_c", "wc", "sum", "tac"}
 
 
 def stream_concat_variant(node: Node) -> Node:
     """A copy of ``node`` that consumes the *concatenation* of its streaming
-    inputs via stdin: streaming file operands are stripped from argv. Used
-    for the replicated copies T creates from a multi-input node — each copy
-    sees one chunk of the concatenated stream (static operands stay)."""
-    res = node.resolved
-    assert res is not None
-    drop = {res.operand_pos[i] for i in res.inputs if i != "stdin"}
-    argv = tuple(a for j, a in enumerate(node.argv) if j not in drop)
-    return dataclasses.replace(node, argv=argv, via_stdin=True)
+    inputs via stdin. Used for the replicated copies T creates from a
+    multi-input node — each copy sees one chunk of the concatenated stream."""
+    assert node.resolved is not None
+    return dataclasses.replace(node, argv=tuple(node.resolved.stdin_argv), via_stdin=True)
 
 
 def parallelize(
@@ -134,16 +133,17 @@ def parallelize(
 
     def agg_tree(inputs: List[int], agg_name: str, spec: Resolved) -> int:
         """Aggregator stage over ordered map outputs; eager on every
-        aggregator input (Fig. 3 places eager before sort -m)."""
-        if agg_name in BINARY_AGGS:
+        aggregator input (Fig. 3 places eager before sort -m). A node's
+        ``cmd`` names the command it merges, e.g. ``agg:sort`` for rerun."""
+        label = f"agg:{spec.command if agg_name == 'rerun' else agg_name}"
+        if agg_name in BINARY_AGGS and not spec.map_argv:
             level = inputs
             while len(level) > 1:
                 nxt: List[int] = []
                 for i in range(0, len(level) - 1, 2):
                     out = g.add_edge().eid
                     g.add_node(
-                        kind="agg", cmd=f"agg:{agg_name}", agg_name=agg_name,
-                        agg_spec=spec,
+                        kind="agg", cmd=label, agg_name=agg_name, agg_spec=spec,
                         inputs=[eager_wrap(level[i]), eager_wrap(level[i + 1])],
                         outputs=[out],
                     )
@@ -154,7 +154,7 @@ def parallelize(
             return level[0]
         out = g.add_edge().eid
         g.add_node(
-            kind="agg", cmd=f"agg:{agg_name}", agg_name=agg_name, agg_spec=spec,
+            kind="agg", cmd=label, agg_name=agg_name, agg_spec=spec,
             inputs=[eager_wrap(e) for e in inputs], outputs=[out],
         )
         return out

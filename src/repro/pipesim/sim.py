@@ -55,7 +55,6 @@ class SimNode:
     blocking: bool = False
     source_lines: float = 0.0  # >0: source node
     early_exit: Optional[float] = None  # exit after emitting N lines (head)
-    tee: bool = False  # emit every line to all outputs (relay/eager)
     split_even: bool = False  # emit outputs sequentially in equal chunks
     emit_rate: float = 0.0  # blocking nodes: drain rate after EOF (0: = rate)
     # expected output volume (for streaming ratio); set by builder
@@ -292,7 +291,7 @@ def _rate_for(cmd: str, argv: Tuple[str, ...], kind: str,
               in_vol: float = 1.0, n_inputs: int = 1) -> float:
     import math
 
-    if cmd == "sort" or (kind == "agg" and cmd == "agg:sort_m"):
+    if cmd in ("sort", "agg:sort"):
         # comparison-based: a full sort of n lines costs ~n log2 n; a k-way
         # merge costs ~n log2 k — this asymmetry is exactly why the paper's
         # map/aggregate sort scales (§6.5) while staying sub-linear
@@ -352,7 +351,6 @@ def sim_from_dfg(g, volumes: Dict[int, int], *, edge_discipline: str = "eager",
             outputs=[eid_to_idx[e] for e in n.outputs],
             blocking=blocking and n.kind != "split",
             split_even=n.kind == "split",
-            tee=n.kind in ("relay", "eager"),
             early_exit=early,
             in_volume=max(in_v, 1e-9),
             out_volume=out_v,

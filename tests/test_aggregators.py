@@ -14,13 +14,18 @@ from repro.commands import ExecEnv, run_cli
 from repro.compiler.backend_seq import split_chunks
 from repro.runtime.aggregators import AGGREGATORS, aggregate
 
-WORDS = ["aa", "ab", "ba", "bb", "Cc", "dd", "e", ""]
+WORDS = ["aa", "ab", "ba", "bb", "Cc", "dd", "e", "é", ""]
 
 
 def stream(seed, n=200):
+    """Random lines in runs of one to four case variants of a line, so
+    that uniq's groups (``-i``'s too) cross chunk boundaries."""
     random.seed(seed)
-    return [random.choice(WORDS) + random.choice(["", " x", " 42"])
-            for _ in range(n)]
+    out = []
+    while len(out) < n:
+        line = random.choice(WORDS) + random.choice(["", " x", " 42", ",7 a", ",10"])
+        out += [random.choice([line, line.upper()]) for _ in range(random.randint(1, 4))]
+    return out[:n]
 
 
 # (command, argv) -> the whole-command semantics to check the pair against
@@ -30,13 +35,20 @@ PAIRS = [
     ("sort", ["-n"]),
     ("sort", ["-rn"]),
     ("sort", ["-u"]),
+    ("sort", ["-ru"]),
+    ("sort", ["-nu"]),
+    ("sort", ["-t", ",", "-k", "2"]),
     ("uniq", []),
     ("uniq", ["-c"]),
+    ("uniq", ["-i"]),
+    ("uniq", ["-ci"]),
     ("wc", ["-l"]),
     ("wc", ["-lw"]),
     ("wc", []),
     ("head", ["-n", "7"]),
+    ("head", ["-3"]),
     ("tail", ["-n", "7"]),
+    ("tail", ["-n", "0"]),
     ("tac", []),
     ("cat", ["-n"]),
     ("nl", []),

@@ -99,7 +99,7 @@ class TestResolution:
         assert r.inputs == [0] and r.static_inputs == [1]
 
     def test_aggregator_names(self):
-        assert resolve_invocation("sort", ["-rn"]).aggregator == "sort_m"
+        assert resolve_invocation("sort", ["-rn"]).aggregator == "rerun"
         assert resolve_invocation("uniq", ["-c"]).aggregator == "uniq_c"
         assert resolve_invocation("wc", ["-l"]).aggregator == "wc"
         assert resolve_invocation("grep", ["-c", "x"]).aggregator == "sum"
@@ -115,6 +115,15 @@ class TestResolution:
         r = resolve_invocation("grep", ["-i", "pat", "file"])
         assert r.operands == ["pat", "file"]
         assert r.operand_pos == [1, 2]
+
+    @pytest.mark.parametrize("name,argv,expected", [
+        ("sort", ["-k", "2", "-t", ",", "a.txt", "-"], ["-k", "2", "-t", ","]),
+        ("head", ["-5", "f"], ["-5"]),
+        ("cat", ["-n", "f"], ["-n"]),
+        ("comm", ["-23", "a", "b"], ["-23", "b"]),  # the static operand stays
+    ])
+    def test_stdin_argv_drops_streaming_operands(self, name, argv, expected):
+        assert resolve_invocation(name, argv).stdin_argv == expected
 
     def test_grep_inputs_fall_back_to_stdin(self):
         assert resolve_invocation("grep", ["x"]).inputs == ["stdin"]

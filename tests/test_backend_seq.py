@@ -102,7 +102,7 @@ class TestDisplayBackend:
         assert "mkfifo" in text
         assert "eager" in text
         assert "split" in text
-        assert "agg:sort_m" in text
+        assert "agg:sort" in text
         assert text.strip().endswith("kill -SIGPIPE")
 
     def test_emit_script_chunked_inputs(self):

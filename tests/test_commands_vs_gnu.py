@@ -133,10 +133,27 @@ def test_command_matches_gnu(name, args, sh, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("args,sh", [(["-c"], "wc -c"), ([], "wc")], ids=["wc -c", "wc"])
+@pytest.mark.parametrize("args,sh", [(["-c"], "wc -c"), (["-m"], "wc -m"), ([], "wc")],
+                         ids=["wc -c", "wc -m", "wc"])
 def test_wc_counts_utf8_bytes_like_gnu(args, sh, seed):
     lines = utf8_corpus(seed)
     assert run_cli("wc", args, lines, ExecEnv()) == gnu(sh, lines)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name,args,sh", [
+    ("grep", ["-i", "ω"], "grep -i ω"),
+    ("grep", ["-i", "DÉ"], "grep -i DÉ"),
+    ("grep", ["\\w"], "grep '\\w'"),
+    ("uniq", ["-i"], "uniq -i"),
+    ("uniq", ["-ci"], "uniq -ci"),
+], ids=["grep -i omega", "grep -i DE", "grep w", "uniq -i", "uniq -ci"])
+def test_case_fold_and_word_class_are_ascii_like_gnu(name, args, sh, seed):
+    # LC_ALL=C folds and classifies ASCII letters only: Ω is not ω's upper
+    # case, and 日本語 holds no word character. Each line is followed by
+    # its upper-cased copy, so uniq -i sees neighbours that differ in case.
+    lines = [v for l in utf8_corpus(seed) for v in (l, l.upper())]
+    assert run_cli(name, args, lines, ExecEnv()) == gnu(sh, lines)
 
 
 def test_wc_words_like_gnu_on_edge_bytes():

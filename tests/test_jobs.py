@@ -1,7 +1,9 @@
 """Smoke tests for the jobs/ entry points at tiny scale. Of the
-Spark-dependent jobs, micro_parallel runs here on the shared session; the
-others' Spark code paths are covered by tests/test_spark_backend.py and
-measured by perfbench/."""
+Spark-dependent jobs, micro_parallel, fig10_speedups' wall-clock table and
+micro_sort run here on the shared session, so the harness that runs
+aggregators end to end cannot silently stop running; each job asserts that
+PaSh's output equals the sequential one. The other jobs' Spark code paths
+are covered by tests/test_spark_backend.py and measured by perfbench/."""
 import os
 import subprocess
 import sys
@@ -68,3 +70,22 @@ def test_micro_parallel_job_rows_tiny(spark):
     naive = rows[-1]
     assert naive["system"] == "naive GNU-parallel everywhere"
     assert float(naive["output vs seq"].split("%")[0]) > 0
+
+
+def test_fig10_wallclock_job_rows_tiny(spark):
+    import fig10_speedups
+
+    rows = fig10_speedups.run_wallclock(spark, scale=0.002, names=["sort-sort"], widths=[2])
+    assert [r["script"] for r in rows] == ["sort-sort"]
+    assert set(rows[0]) == {"script", "seq", "pash_w2", "nosplit_w2"}
+
+
+def test_micro_sort_job_rows_tiny(spark):
+    import micro_sort
+
+    cached = spark.sparkContext._jsc.getPersistentRDDs().size()
+    rows = micro_sort.run(spark, n_lines=2000, widths=[2])
+    assert [r["system"] for r in rows] == [
+        "seq (baseline)", "native orderBy (S_g)", "pash sort (S_p)"]
+    # the cached orderBy input is unpersisted before run() returns
+    assert spark.sparkContext._jsc.getPersistentRDDs().size() == cached

@@ -158,6 +158,17 @@ class TestStructure:
         maps = [n for n in tg.nodes.values() if n.kind == "map"]
         assert any(n.cmd == "bigrams_aux_map" for n in maps)
 
+    @pytest.mark.parametrize("script,n_aggs", [
+        ("cat in.txt | sort", 3), ("cat -n in.txt", 1), ("nl in.txt", 1)])
+    def test_rerun_tree_is_binary_only_over_the_commands_own_maps(self, script, n_aggs):
+        # cat -n and nl map with plain cat: numbering a numbered part again
+        # would be wrong, so they get one n-ary node
+        tg = parallelize(dfg_of(script), 4)
+        aggs = [n for n in tg.nodes.values() if n.kind == "agg"]
+        assert len(aggs) == n_aggs
+        assert all(n.agg_name == "rerun" for n in aggs)
+        assert sorted(len(n.inputs) for n in aggs) == ([4] if n_aggs == 1 else [2, 2, 2])
+
     def test_transform_composes(self):
         # transformations compose: re-parallelizing a transformed graph at
         # width 1 (identity pass over non-cmd kinds is not supported) —
