@@ -10,8 +10,13 @@ import os
 import sys
 from typing import Dict, List
 
-# allow running straight from a checkout without installation
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# allow running straight from a checkout without installation: the driver
+# imports ``repro`` from ``src/``, and so must the Python workers, which
+# inherit PYTHONPATH when the JVM starts them
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
+_old = os.environ.get("PYTHONPATH")
+os.environ["PYTHONPATH"] = SRC + (os.pathsep + _old if _old else "")
 
 # driver memory is read at JVM launch: it must be in PYSPARK_SUBMIT_ARGS
 # before pyspark is imported (same approach as conftest.py)

@@ -37,8 +37,8 @@ def run(spark, *, n_lines: int = 1_500_000, widths=None) -> List[Dict]:
     t_seq = time.perf_counter() - t0
 
     rows: List[Dict] = []
-    # S_g: the "hand-tuned parallel sort" — Spark's native orderBy
-    # (Arrow ingest and collect, the same transport as the PaSh runs)
+    # S_g: the "hand-tuned parallel sort" — Spark's native orderBy, with
+    # Arrow ingest and collect
     sdf = spark.createDataFrame(pa.table({"line": lines})).cache()
     sdf.count()
     t0 = time.perf_counter()

@@ -18,7 +18,8 @@ from typing import Callable, List, Tuple
 
 from .base import CommandError, ExecEnv, parse_opts, register, resolve_streams
 
-_NUM_PREFIX = re.compile(r"^[ \t]*(-?\d*\.?\d*)")
+# under LC_ALL=C only ASCII digits are digits: ``sort -n`` reads '٣' as 0
+_NUM_PREFIX = re.compile(r"^[ \t]*(-?\d*\.?\d*)", re.ASCII)
 
 
 def numeric_value(s: str) -> float:

@@ -16,9 +16,11 @@ width sinks, §6.1's "No Split") is made once, in ``parallelize``:
 * ``cat`` concatenates lists on the driver, else streams;
 * ``cmd`` and ``relay`` nodes run on the driver.
 
-Streams hold one row per chunk, so a region samples and caches nothing and
-leaves no state in the session. A ``CommandError`` raised in a Spark task
-reaches the caller as ``CommandError``, as on the sequential backend.
+Streams are RDDs of chunk records, one record per chunk, so a region
+samples and caches nothing and leaves no state in the session; they need a
+classic session, not a Spark Connect one. A ``CommandError`` raised in a
+Spark task reaches the caller as ``CommandError``, as on the sequential
+backend.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import re
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple, Union
 
-from pyspark.errors import PythonException
+from py4j.protocol import Py4JJavaError
 from pyspark.sql import SparkSession
 
 from repro.commands.base import CommandError, ExecEnv
@@ -41,9 +43,11 @@ from .backend_seq import exec_node, read_input, write_outputs
 # at runtime and therefore need it captured into their task closures
 _ENV_READERS = {"xargs", "curl", "file"}
 
-# the last line of a task's traceback when a command rejected its input
+# the last line of a task's Python traceback when a command rejected its
+# input; in a failed job's text the Java stack follows that traceback
 _TASK_COMMAND_ERROR = re.compile(
     rf"^{re.escape(CommandError.__module__)}\.CommandError: (.*)\s*\Z", re.M)
+_JAVA_FRAME = "\n\tat "
 
 # an edge's value: lines on the driver, a whole stream, or lane k of a stream
 Value = Union[List[str], SparkStream, Tuple[SparkStream, int]]
@@ -65,8 +69,8 @@ def _command_errors():
     """Re-raise a ``CommandError`` that a Spark task raised as itself."""
     try:
         yield
-    except PythonException as e:
-        m = _TASK_COMMAND_ERROR.search(str(e))
+    except Py4JJavaError as e:
+        m = _TASK_COMMAND_ERROR.search(str(e).split(_JAVA_FRAME, 1)[0])
         if m is None:
             raise
         raise CommandError(m.group(1)) from e

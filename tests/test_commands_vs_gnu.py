@@ -204,6 +204,13 @@ def test_sort_k_with_separator_matches_gnu():
     assert mine == theirs
 
 
+@pytest.mark.parametrize("args,sh", [(["-n"], "sort -n"), (["-rn"], "sort -rn")])
+def test_sort_numeric_reads_ascii_digits_only(args, sh):
+    # under LC_ALL=C an Arabic-Indic or full-width digit starts no number
+    lines = ["\u0663", "2", "\uff11", "-1", "\u0661\u0660 x", "10"]
+    assert run_cli("sort", args, lines, ExecEnv()) == gnu(sh, lines)
+
+
 def test_sort_file_operand():
     lines = corpus(8)
     env = ExecEnv(files={"f.txt": lines})

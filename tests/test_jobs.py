@@ -89,3 +89,15 @@ def test_micro_sort_job_rows_tiny(spark):
         "seq (baseline)", "native orderBy (S_g)", "pash sort (S_p)"]
     # the cached orderBy input is unpersisted before run() returns
     assert spark.sparkContext._jsc.getPersistentRDDs().size() == cached
+
+
+def test_common_puts_src_on_workers_path():
+    # Python workers inherit PYTHONPATH from the JVM; without src/ on it
+    # the first task of a job fails to import repro
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run(
+        [sys.executable, "-c", "import os, _common; print(os.environ['PYTHONPATH'])"],
+        cwd=JOBS, env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    src = os.path.abspath(os.path.join(JOBS, "..", "src"))
+    assert r.stdout.strip().split(os.pathsep)[0] == src

@@ -5,7 +5,6 @@ oracle cross-checks for the query-shaped results.
 import random
 import uuid
 import zipfile
-from collections import Counter
 
 import pandas as pd
 import pytest
@@ -96,7 +95,7 @@ class TestStream:
         def count(ls):
             return [str(len(ls))]
 
-        # 16 chunks on fewer cores: partitions hold several chunks each
+        # 16 chunks on fewer cores: tasks queue behind the busy cores
         lines = ["a", "b", "c"]
         expected = [str((k + 1) * 3 // 16 - k * 3 // 16) for k in range(16)]
         assert expected.count("0") == 13
@@ -105,34 +104,25 @@ class TestStream:
         assert SparkStream.from_lines(spark, lines).split(16).per_chunk(count) \
             .collect_lines() == expected
 
-    @pytest.mark.parametrize("threshold", [None, "0"])
-    @pytest.mark.parametrize("width", [4, 16])
-    def test_ingest_spreads_chunks_at_any_size(self, spark, threshold, width):
-        # above arrow.localRelationThreshold (48 MiB by default; 0 forces it
-        # here) Spark makes one partition per ingested Arrow batch, below it
-        # it spreads the rows over the cores
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_chunk_k_runs_in_partition_k(self, spark, width):
+        # one partition per chunk after ingest and after split, whatever
+        # defaultParallelism is
         def partition(ls):
             return [str(TaskContext.get().partitionId())]
 
-        key = "spark.sql.execution.arrow.localRelationThreshold"
-        prev = spark.conf.get(key, None)
-        try:
-            if threshold is not None:
-                spark.conf.set(key, threshold)
-            ids = SparkStream.from_lines(spark, [str(i) for i in range(100)], width) \
-                .per_chunk(partition).collect_lines()
-        finally:
-            if prev is None:
-                spark.conf.unset(key)
-            else:
-                spark.conf.set(key, prev)
-        per_task = -(-width // spark.sparkContext.defaultParallelism)
-        assert len(ids) == width
-        assert max(Counter(ids).values()) <= per_task
+        expected = [str(k) for k in range(width)]
+        lines = [str(i) for i in range(100)]
+        st = SparkStream.from_lines(spark, lines, width)
+        assert st.rdd.getNumPartitions() == width
+        assert st.per_chunk(partition).collect_lines() == expected
+        st = SparkStream.from_lines(spark, lines, 3).split(width)
+        assert st.rdd.getNumPartitions() == width
+        assert st.per_chunk(partition).collect_lines() == expected
 
     @pytest.mark.parametrize("width", [1, 4])
     def test_non_ascii_and_empty_lines(self, spark, width):
-        # every chunk is an Arrow batch from ingest through map and split
+        # every chunk is a pickled record from ingest through map and split
         # to the sink: multi-byte text and empty strings come back as sent
         lines = ["dé", "", "😀 z", "a", "", "日本 語", ""] * 3
         mapped = [l for part in split_chunks(lines, width) for l in ["é"] + part + [""]]
@@ -152,6 +142,20 @@ class TestStream:
         upper = SparkStream.cat([a.per_chunk(lambda ls: [l.upper() for l in ls]), b])
         assert upper.per_chunk(lambda ls: ls[::-1]).collect_parts() == \
             [[], [], ["A1"], [], ["A2"], ["b1"], ["b2"], ["b4", "b3"]]
+
+    def test_cat_of_split_outputs_of_equal_width(self, spark):
+        # both inputs are placed by the same chunk-id partitioner: order
+        # must come from p, not from how the union lays out partitions
+        a = SparkStream.from_lines(spark, [f"a{i}" for i in range(7)], 3).split(4)
+        b = SparkStream.from_lines(spark, [f"b{i}" for i in range(5)], 2) \
+            .per_chunk(lambda ls: [l.upper() for l in ls]).split(4)
+        st = SparkStream.cat([a, b])
+        assert st.n_parts == 8
+        assert st.collect_parts() == \
+            split_chunks([f"a{i}" for i in range(7)], 4) + \
+            split_chunks([f"B{i}" for i in range(5)], 4)
+        assert st.split(3).collect_lines() == \
+            [f"a{i}" for i in range(7)] + [f"B{i}" for i in range(5)]
 
 
 SPARK_SCRIPTS = [
@@ -394,18 +398,19 @@ def _plan(spark, script, env):
     return out, len(jobs), [n for n in tasks if n]  # skipped stages ran 0
 
 
-@pytest.mark.parametrize("script,n_jobs,later_stages", [
-    # map | agg + split | the map after the split, collected
-    (SORT_SORT, 3, [1, 4]),
-    ("cat in.txt | sort", 1, []),
+@pytest.mark.parametrize("script,n_jobs,tasks", [
+    # map | agg + split | the map after the split, collected: one job
+    (SORT_SORT, 1, [4, 1, 4]),
+    ("cat in.txt | sort", 1, [4]),
+    # one job per input region, both collected to the driver's diff
+    ("diff <(cat in.txt | sort) <(cat in2.txt | sort)", 2, [4, 4]),
 ])
-def test_plan_shape(spark, corpus_env, script, n_jobs, later_stages):
-    out, jobs, tasks = _plan(spark, script, corpus_env)
+def test_plan_shape(spark, corpus_env, script, n_jobs, tasks):
+    out, jobs, stage_tasks = _plan(spark, script, corpus_env)
     assert out == pash_seq(script, fresh(corpus_env))
     assert jobs == n_jobs
-    # the first stage maps the 4 ingested chunk rows, which Spark spreads
-    # over at most one partition per core
-    assert tasks == [min(4, spark.sparkContext.defaultParallelism)] + later_stages
+    # one task per chunk, whatever defaultParallelism is
+    assert stage_tasks == tasks
 
 
 class TestOracle:
