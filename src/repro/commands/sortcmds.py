@@ -2,8 +2,9 @@
 
 ``sort`` follows GNU semantics under ``LC_ALL=C``: byte comparison, ``-n``
 leading-numeric comparison with whole-line last-resort tiebreak, ``-r``
-reversing the total order, ``-u`` keeping the first of equal keys, ``-k``
-field keys (supported with an explicit ``-t`` separator), and ``-m``
+reversing the total order, ``-u`` keeping the first of equal keys, ``-s``
+keeping equal keys in input order (both drop the last-resort compare),
+``-k`` field keys (supported with an explicit ``-t`` separator), and ``-m``
 merging already-sorted inputs. The aggregator of a parallel sort is sort
 itself with the same flags (``rerun``): Timsort's run detection merges the
 concatenated sorted runs near-linearly, the cost profile of PaSh's
@@ -78,11 +79,19 @@ def make_sort_key(opts) -> Callable[[str], Tuple]:
     return key
 
 
+def sort_order(opts) -> Tuple[Callable[[str], Tuple], bool]:
+    """sort's order as ``(key, reverse)``: lines compare by ``key``,
+    descending under ``reverse``. ``-u`` and ``-s`` drop the last-resort
+    whole-line compare, so lines with equal keys compare equal."""
+    full = make_sort_key(opts)
+    key = (lambda l: full(l)[:-1]) if opts.get("u") or opts.get("s") else full
+    return key, bool(opts.get("r"))
+
+
 @register("sort")
 def sort_cmd(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
     opts, operands = parse_opts(argv, flags="rnums", with_arg="kt")
-    key = make_sort_key(opts)
-    rev = bool(opts.get("r"))
+    key, rev = sort_order(opts)
     if opts.get("m"):
         # merge mode: inputs are already sorted; equivalent to stable sort of
         # the concatenation under the same comparator (GNU documents -m as a
@@ -95,10 +104,10 @@ def sort_cmd(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
         out = merge_sorted(streams, key=key, reverse=rev)
     else:
         lines = resolve_streams(operands, stdin, env)
-        if opts.get("u"):
-            # -u disables the last-resort whole-line comparison: among
-            # key-equal lines GNU keeps the first in input order (stable)
-            out = sorted(lines, key=lambda l: key(l)[:-1], reverse=rev)
+        if opts.get("u") or opts.get("s"):
+            # no last-resort compare: key-equal lines keep their input
+            # order (Python's sort is stable, also under reverse)
+            out = sorted(lines, key=key, reverse=rev)
         elif not opts.get("n") and not opts.get("k"):
             out = sorted(lines, reverse=rev)  # C-speed byte order
         elif not opts.get("k"):
@@ -115,7 +124,7 @@ def sort_cmd(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
         dedup: List[str] = []
         prev = object()
         for l in out:
-            k = key(l)[:-1]  # -u compares keys, not whole lines
+            k = key(l)  # -u compares keys, not whole lines
             if k != prev:
                 dedup.append(l)
                 prev = k

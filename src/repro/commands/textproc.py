@@ -228,6 +228,10 @@ def tr(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
             if len(set2) < len(set1):
                 set2 = set2 + set2[-1] * (len(set1) - len(set2))
             table = str.maketrans(set1, set2[: len(set1)])
+            if not squeeze and "\n" not in set1:
+                # one translate over the whole stream; a character mapped
+                # to a newline still splits its line, as below
+                return "\n".join(stdin).translate(table).split("\n") if stdin else []
             transform = lambda s: s.translate(table)
             squeeze_set = set(set2) if squeeze else set()
     else:  # squeeze only

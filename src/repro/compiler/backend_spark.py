@@ -10,8 +10,9 @@ width sinks, §6.1's "No Split") is made once, in ``parallelize``:
 * the ``(k, w)`` chunk edges of one input are the lanes of one stream;
 * ``map`` copies over the lanes of one stream fuse into one ``per_chunk``;
 * an ``agg`` tree collapses to one aggregator over its leaves, placed by
-  the node that reads its output: in the task of the ``split`` it feeds
-  (PaSh's ``agg | split``), else on the driver, as a list;
+  the node that reads its output: in the ``split`` it feeds (PaSh's
+  ``agg | split``; ``width`` range tasks when the aggregator has a range
+  form, sort's ``rerun``, else one task), else on the driver, as a list;
 * a ``split`` fed by no aggregator distributes a driver-side list;
 * ``cat`` concatenates lists on the driver, else streams;
 * ``cmd`` and ``relay`` nodes run on the driver.
@@ -34,7 +35,7 @@ from pyspark.sql import SparkSession
 from repro.commands.base import CommandError, ExecEnv
 from repro.dfg.graph import DFG, Node
 from repro.dfg.transform import parallelize
-from repro.runtime.aggregators import AGGREGATORS
+from repro.runtime.aggregators import AGGREGATORS, RangeFn, range_form
 from repro.runtime.stream import AggFn, SparkStream
 
 from .backend_seq import exec_node, read_input, write_outputs
@@ -91,7 +92,8 @@ def run_dfg_spark(
     ingested: Dict[Tuple[Optional[str], int], SparkStream] = {}
     fused: Dict[Tuple[SparkStream, int], SparkStream] = {}
     trees: Dict[int, List[Value]] = {}  # inner edge of an agg tree -> its leaves
-    held: Dict[int, Tuple[SparkStream, AggFn]] = {}  # agg root's edge -> its split
+    # agg root's edge -> the split it feeds: input stream, aggregator, range form
+    held: Dict[int, Tuple[SparkStream, AggFn, Optional[RangeFn]]] = {}
 
     def value(eid: int) -> Value:
         if eid not in values:
@@ -153,14 +155,15 @@ def run_dfg_spark(
             fn = AGGREGATORS[n.agg_name]
             agg = lambda parts, _f=fn, _s=n.agg_spec: _f(parts, _s)
             if consumer == "split":
-                held[n.outputs[0]] = (stream_of(leaves), agg)
+                held[n.outputs[0]] = (stream_of(leaves), agg,
+                                      range_form(n.agg_name, n.agg_spec))
                 continue
             outs = [stream_of(leaves).collect_lines(agg)]
         elif n.kind == "split":
             w = len(n.outputs)
             if n.inputs[0] in held:
-                st, agg = held.pop(n.inputs[0])
-                st = st.split(w, agg)
+                st, agg, ranges = held.pop(n.inputs[0])
+                st = st.split(w, agg, ranges)
             else:
                 st = SparkStream.from_lines(spark, lines(ins[0]), w)
             outs = [(st, k) for k in range(w)]

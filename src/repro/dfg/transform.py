@@ -16,8 +16,9 @@ transformations:
   aggregators — matching the paper's process counts, e.g. sort at width 8 =
   8 maps + 7 aggregators + 14 eager relays — or a single n-ary node
   otherwise);
-* **t3**: ``eager`` relay nodes inserted on aggregator inputs and split
-  outputs (§5, Fig. 3).
+* **t3**: ``eager`` relay nodes inserted on aggregator inputs, split
+  outputs and the outputs of the ``tee`` that copies a pipe-fed static
+  input to every replica (§5, Fig. 3).
 
 Non-parallelizable nodes (ⓝ, ⓔ, ⓟ without an aggregator) act as width
 sinks: their input bundles are merged back with explicit ``cat`` nodes and
@@ -59,7 +60,6 @@ def parallelize(
     g = DFG()
     bundle: Dict[int, List[int]] = {}  # orig streaming edge -> new edges
     static_new: Dict[int, int] = {}  # orig static-feeding edge -> new edge
-    out_map: Dict[int, List[int]] = {}  # orig node -> its orig output eids
 
     def new_input_edge(orig: Edge) -> int:
         e = g.add_edge(kind=orig.kind, label=orig.label)
@@ -90,6 +90,10 @@ def parallelize(
                 else:
                     outs = [g.add_edge().eid for _ in range(copies)]
                     g.add_node(kind="relay", cmd="tee", inputs=[produced], outputs=outs)
+                    # eager on every tee output: a copy reads its streaming
+                    # input before its static one, and a full pipe to any
+                    # copy would stall the tee for all of them (§5)
+                    outs = [eager_wrap(e) for e in outs]
                     for c in range(copies):
                         per_copy[c].append(outs[c])
         return per_copy

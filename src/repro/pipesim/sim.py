@@ -269,6 +269,8 @@ def _emit(n: SimNode, s: _NodeState, es, amt: float) -> None:
             es[n.outputs[k]].produced += step
             s.emitted += step
             left -= step
+            if k < w - 1 and s.emitted >= (k + 1) * chunk - 1e-9:
+                es[n.outputs[k]].closed = True  # chunk k is whole: EOF
         return
     for eid in n.outputs:  # tee / single output: every line to every edge
         es[eid].produced += amt
@@ -337,7 +339,9 @@ def sim_from_dfg(g, volumes: Dict[int, int], *, edge_discipline: str = "eager",
     for nid in order:
         n = g.nodes[nid]
         in_v = sum(volumes.get(e, 0) for e in n.inputs + n.statics) * scale
-        out_v = sum(volumes.get(e, 0) for e in n.outputs) * scale
+        # a tee writes every line to each output: its volume is one output's
+        out_vols = [volumes.get(e, 0) for e in n.outputs]
+        out_v = (max(out_vols, default=0) if n.kind == "relay" else sum(out_vols)) * scale
         blocking = n.cmd in ("sort", "tac", "sha1sum", "diff", "shuf") \
             or n.kind == "split" or (n.kind == "agg" and n.agg_name == "tac")
         early = None

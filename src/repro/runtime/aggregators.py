@@ -18,19 +18,92 @@ and tail, and ``cat -n``/``nl`` over their plain ``cat`` maps. The rest are
 not the command: ``uniq -c``'s boundary repair, wc's column addition for
 arbitrary flag combinations, ``grep -c``'s sum, tac's reverse-order stream
 consumption and the n-gram joins.
+
+**Range form.** When an aggregator's output is re-chunked by a ``split``
+(PaSh's ``agg | split``), sort's ``rerun`` has a second form that
+:func:`range_form` returns: ``fn(parts, r, width)`` is chunk ``r`` of
+``width`` contiguous chunks of ``rerun(parts)``, computed from ``parts``
+alone, so ``width`` tasks can each compute one chunk. Every call picks the
+same ``width - 1`` splitters from a fixed sample of each (sorted) part,
+cuts every part at them by binary search in sort's full order, and reruns
+sort over its pieces. The chunks, concatenated, are ``rerun(parts)`` byte
+for byte; only their sizes differ from an even split, and PaSh's ``split``
+needs contiguous chunks, not equal ones. No other aggregator has the form.
 """
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from repro.annotations.model import Resolved
 from repro.commands import run_cli
 from repro.commands.custom import ngrams_agg
+from repro.commands.sortcmds import sort_order
+
+RangeFn = Callable[[List[List[str]], int, int], List[str]]
+
+_SAMPLES_PER_PART = 16  # lines of each part a range task samples for splitters
 
 
 def _agg_rerun(parts: List[List[str]], spec: Resolved) -> List[str]:
     return run_cli(spec.command, spec.stdin_argv, [l for part in parts for l in part])
+
+
+def _splitters(parts: List[List[str]], key, rev: bool, width: int) -> List[object]:
+    """The ``width - 1`` keys that cut the order into ``width`` ranges: weighted
+    quantiles of evenly spaced samples of each sorted part, each standing
+    for ``len(part) / samples`` lines (Spark's ``RangePartitioner`` bounds)."""
+    samples = []
+    for part in parts:
+        n = len(part)
+        k = min(n, _SAMPLES_PER_PART)
+        samples += [(key(part[(2 * i + 1) * n // (2 * k)]), n / k) for i in range(k)]
+    samples.sort(key=lambda s: s[0], reverse=rev)
+    total = sum(w for _, w in samples)
+    bounds: List[object] = []
+    i, acc = 0, samples[0][1]
+    for j in range(1, width):
+        while acc < total * j / width and i < len(samples) - 1:
+            i += 1
+            acc += samples[i][1]
+        bounds.append(samples[i][0])
+    return bounds
+
+
+def _cut(part: List[str], bound: object, key, rev: bool) -> int:
+    """How many leading lines of the sorted ``part`` sort at or before ``bound``."""
+    lo, hi = 0, len(part)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        k = key(part[mid])
+        if (k < bound) if rev else (bound < k):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _sort_range(spec: Resolved, parts: List[List[str]], r: int, width: int) -> List[str]:
+    """Range ``r`` of ``width`` of ``rerun(parts, spec)`` for sort. Under
+    ``-u`` and ``-s`` the order has no whole-line compare, so lines with
+    equal keys fall in one range and keep their relative order in it."""
+    if not any(parts):
+        return []
+    key, rev = sort_order(spec.opts)
+    bounds = _splitters(parts, key, rev, width)
+    lo = [0] * len(parts) if r == 0 else [_cut(p, bounds[r - 1], key, rev) for p in parts]
+    hi = ([len(p) for p in parts] if r == width - 1
+          else [_cut(p, bounds[r], key, rev) for p in parts])
+    return _agg_rerun([p[a:b] for p, a, b in zip(parts, lo, hi)], spec)
+
+
+def range_form(name: str, spec: Resolved) -> Optional[RangeFn]:
+    """The range form of aggregator ``name`` for ``spec`` (see the module
+    docstring), or None: only sort's ``rerun`` has one."""
+    if name == "rerun" and spec.command == "sort":
+        return partial(_sort_range, spec)
+    return None
 
 
 _UNIQ_C = re.compile(r"^\s*(\d+) (.*)$", re.S)

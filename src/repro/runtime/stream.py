@@ -22,15 +22,21 @@ Mapping of PaSh runtime primitives (§5) onto Spark:
   concatenation by default) runs over them in chunk order and its output
   is re-chunked into ``width`` contiguous pieces (count, then disperse,
   like PaSh's split process), then ``partitionBy(width)`` places chunk
-  ``k`` in partition ``k``,
+  ``k`` in partition ``k``. An aggregator with a range form
+  (``aggregators.range_form``; only sort's ``rerun`` has one) runs
+  instead in ``width`` tasks after one shuffle: each map task pickles its
+  chunk once and sends the bytes to every range id, and task ``k``
+  computes chunk ``k`` of the aggregator's output from all the chunks.
+  The stream is the same and only its chunk sizes differ; the price is
+  ``width`` times the shuffle volume of the single task,
 * sink       -> ``collect_lines`` collects the chunk records and runs the
   aggregator on the driver (plain concatenation),
 * ``cat``    -> ``union`` after a bundle offset on ``p`` (order-preserving).
 
 **Placement.** Chunk ``k`` runs in partition ``k``. Ingest is one
 ``parallelize`` with one slice per chunk, so a width-``w`` stream is ``w``
-tasks whatever ``defaultParallelism`` is, and the two shuffles of a
-``split`` are the only exchanges. Order never comes from partition order:
+tasks whatever ``defaultParallelism`` is, and the shuffles of a ``split``
+(one or two) are the only exchanges. Order never comes from partition order:
 the sink and the aggregator of a ``split`` place every record by ``p``.
 Every action is one Spark job, however many shuffles it crosses.
 
@@ -38,8 +44,8 @@ Every action is one Spark job, however many shuffles it crosses.
 ``importlib.invalidate_caches()``. Under CPython < 3.12 that makes each
 ``zipimporter`` re-read its whole archive directory, and the worker's path
 holds three archives (``pyspark.zip``, the py4j zip, the spark-core jar):
-about 0.2 s per task, more than a 5k-line ``tr | sort`` chunk costs. Both
-task functions therefore start with :func:`_keep_zip_directories`, which
+about 0.2 s per task, more than a 5k-line ``tr | sort`` chunk costs. Every
+task function therefore starts with :func:`_keep_zip_directories`, which
 makes the re-read a no-op for the rest of that worker's life. The archives
 do not change while a worker lives; directory finders are still
 invalidated, and a zip newly put on the path (``addPyFile``) gets a new
@@ -47,7 +53,7 @@ importer that reads it.
 
 **Limit.** PySpark frames pickled records with a 32-bit length and refuses
 a frame larger than 2 GiB (``FramedSerializer``). A frame holds one chunk,
-except that a ``split``'s task may group records after a frame under
+except that a ``split``'s tasks may group records after a frame under
 64 KiB (``AutoBatchedSerializer``), so one chunk must pickle to under
 2 GiB. A sink's records together must also stay under
 ``spark.driver.maxResultSize`` (1 GiB unless the session sets it).
@@ -57,6 +63,7 @@ on a classic session, not a Spark Connect one.
 """
 from __future__ import annotations
 
+import pickle
 import zipimport
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -64,6 +71,7 @@ from pyspark import RDD
 from pyspark.sql import SparkSession
 
 from repro.dfg.graph import split_chunks
+from repro.runtime.aggregators import RangeFn
 
 ChunkFn = Callable[[List[str]], List[str]]
 AggFn = Callable[[List[List[str]]], List[str]]
@@ -108,6 +116,33 @@ def _apply_chain(fns: List[ChunkFn], offset: int = 0):
             for f in fns:
                 lines = f(lines)
             yield p + offset, lines
+
+    return apply
+
+
+def _to_every_range(width: int):
+    """mapPartitions fn of a range ``split``'s map side: pickle each chunk
+    once and key the same bytes by every range id."""
+
+    def apply(chunks: Iterable[Chunk]) -> Iterator[Tuple[int, Tuple[int, bytes]]]:
+        _keep_zip_directories()
+        for p, lines in chunks:
+            blob = pickle.dumps(lines, pickle.HIGHEST_PROTOCOL)
+            for r in range(width):
+                yield r, (p, blob)
+
+    return apply
+
+
+def _range_task(ranges: RangeFn, n_parts: int, width: int):
+    """mapPartitionsWithIndex fn of a range ``split``: task ``r`` reads every
+    chunk and computes chunk ``r`` of the aggregator's output, which it
+    emits even when empty."""
+
+    def apply(r: int, records: Iterable[Tuple[int, Tuple[int, bytes]]]) -> Iterator[Chunk]:
+        _keep_zip_directories()
+        chunks = ((p, pickle.loads(blob)) for _, (p, blob) in records)
+        yield r, ranges(_parts(chunks, n_parts), r, width)
 
     return apply
 
@@ -166,11 +201,21 @@ class SparkStream:
             off += st.n_parts
         return SparkStream(rdds[0].context.union(rdds), off)
 
-    def split(self, width: int, agg: AggFn = _concat) -> "SparkStream":
+    def split(self, width: int, agg: AggFn = _concat,
+              ranges: Optional[RangeFn] = None) -> "SparkStream":
         """Run ``agg`` over the ordered chunks and re-chunk its output into
-        ``width`` contiguous pieces, in one single-partition task behind a
-        stage boundary (so the maps keep their width) — PaSh's agg | split
-        process pair — then place chunk ``k`` in partition ``k``."""
+        ``width`` contiguous pieces — PaSh's agg | split process pair — with
+        chunk ``k`` in partition ``k``. Given ``agg``'s range form
+        ``ranges``, every chunk is sent to all ``width`` tasks of one
+        shuffle and task ``k`` computes chunk ``k``. Otherwise ``agg`` runs
+        in one single-partition task behind a stage boundary (so the maps
+        keep their width) and a second shuffle places its chunks."""
+        if ranges is not None:
+            rdd = self._pre_rdd().mapPartitions(_to_every_range(width)) \
+                .partitionBy(width, _chunk_id) \
+                .mapPartitionsWithIndex(_range_task(ranges, self.n_parts, width),
+                                        preservesPartitioning=True)
+            return SparkStream(rdd, width)
         rdd = self._pre_rdd().partitionBy(1, _chunk_id) \
             .mapPartitions(_agg_split(agg, self.n_parts, width)) \
             .partitionBy(width, _chunk_id)

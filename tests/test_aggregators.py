@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.annotations import resolve_invocation
 from repro.commands import ExecEnv, run_cli
 from repro.compiler.backend_seq import split_chunks
-from repro.runtime.aggregators import AGGREGATORS, aggregate
+from repro.runtime.aggregators import AGGREGATORS, aggregate, range_form
 
 WORDS = ["aa", "ab", "ba", "bb", "Cc", "dd", "e", "é", ""]
 
@@ -134,3 +134,28 @@ def test_all_binary_aggs_registered():
     from repro.dfg.transform import BINARY_AGGS
 
     assert BINARY_AGGS <= set(AGGREGATORS)
+
+
+@given(st.lists(st.lists(st.text(alphabet="ab 12", max_size=4), max_size=12), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=7),
+       st.sampled_from([[], ["-r"], ["-n"], ["-rn"], ["-u"], ["-ru"], ["-nu"], ["-s", "-n"],
+                        ["-t", " ", "-k", "2"], ["-s", "-t", " ", "-k", "2,2"],
+                        ["-rs", "-t", " ", "-k", "1,1"], ["-u", "-t", " ", "-k", "1,1n"]]))
+@settings(max_examples=300, deadline=None)
+def test_sort_range_form_concatenates_to_rerun(chunks, width, argv):
+    """sort's range form: the ``width`` ranges of the map outputs, in order,
+    are ``rerun`` over the same parts, whatever the chunking (empty and
+    uneven chunks, duplicates across range boundaries, fewer lines than
+    ranges)."""
+    res = resolve_invocation("sort", argv)
+    parts = [run_cli("sort", argv, c, ExecEnv()) for c in chunks]
+    ranges = range_form(res.aggregator, res)
+    got = [ranges(parts, r, width) for r in range(width)]
+    assert [l for rng in got for l in rng] == aggregate("rerun", parts, res)
+
+
+def test_only_sort_rerun_has_a_range_form():
+    assert range_form("rerun", resolve_invocation("sort", ["-rn"])) is not None
+    for name, argv in [("uniq", []), ("uniq", ["-c"]), ("head", ["-n", "3"]), ("wc", ["-l"])]:
+        res = resolve_invocation(name, argv)
+        assert range_form(res.aggregator, res) is None, name

@@ -142,8 +142,8 @@ class TestCustomCommands:
 
 class TestEdgeCases:
     def test_empty_input_everywhere(self):
-        for name in ("cat", "grep", "sort", "uniq", "tac", "bigrams_aux"):
-            args = ["x"] if name == "grep" else []
+        for name in ("cat", "grep", "sort", "uniq", "tac", "bigrams_aux", "tr"):
+            args = {"grep": ["x"], "tr": ["a-z", "A-Z"]}.get(name, [])
             assert run_cli(name, args, [], ExecEnv()) == []
 
     def test_wc_empty(self):

@@ -77,6 +77,7 @@ CASES = [
     ("tr", ["-c", "a-zA-Z0-9 \n", "_"], r"tr -c 'a-zA-Z0-9 \n' _"),
     ("tr", ["[:upper:]", "[:lower:]"], "tr '[:upper:]' '[:lower:]'"),
     ("tr", ["-d", "[:digit:]"], "tr -d '[:digit:]'"),
+    ("tr", [" ", "\n"], r"tr ' ' '\n'"),
     ("cut", ["-d", " ", "-f1"], "cut -d ' ' -f1"),
     ("cut", ["-d", " ", "-f2"], "cut -d ' ' -f2"),
     ("cut", ["-d", " ", "-f1,3"], "cut -d ' ' -f1,3"),
@@ -202,6 +203,20 @@ def test_sort_k_with_separator_matches_gnu():
     mine = run_cli("sort", ["-t", " ", "-k", "2"], lines, ExecEnv())
     theirs = gnu("sort -t ' ' -k 2", lines)
     assert mine == theirs
+
+
+@pytest.mark.parametrize("args,sh", [
+    (["-s", "-t", " ", "-k", "2,2"], "sort -s -t ' ' -k 2,2"),
+    (["-rs", "-t", " ", "-k", "2,2"], "sort -rs -t ' ' -k 2,2"),
+    (["-sn"], "sort -sn"),
+    (["-rsn"], "sort -rsn"),
+    (["-s"], "sort -s"),
+])
+def test_sort_stable_keeps_input_order_of_equal_keys(args, sh):
+    # -s drops the last-resort whole-line compare, as -u does
+    lines = ["b 1", "a 1", "c 0"] + [f"{w} {random.Random(i).randint(0, 3)}"
+                                     for i, w in enumerate(corpus(11, 150))]
+    assert run_cli("sort", args, lines, ExecEnv()) == gnu(sh, lines)
 
 
 @pytest.mark.parametrize("args,sh", [(["-n"], "sort -n"), (["-rn"], "sort -rn")])

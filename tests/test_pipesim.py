@@ -4,6 +4,7 @@ import pytest
 from repro.commands.base import ExecEnv
 from repro.pipesim import runtime_lattice, sequential_time, sim_from_dfg, simulate
 from repro.pipesim.sim import SimEdge, SimNode
+from repro.workloads import ONELINERS
 from repro.workloads.inputs import text_corpus
 
 
@@ -128,6 +129,32 @@ class TestLattice:
         for name, lat in lattices.items():
             for w in (2, 8, 16):
                 assert lat["blocking_eager"][w] <= lat["no_split"][w] + 0.05
+
+
+def test_set_diff_simulates():
+    """comm's pipe-fed static input is teed to every copy through eager
+    relays, and each split chunk ends when it is whole: the copies neither
+    stall the tee nor wait on the split's other chunks."""
+    wl = ONELINERS["set-diff"]
+    lat = runtime_lattice(wl.script, wl.make_env(0.002), widths=[2, 16], scale=500.0)
+    for name, speedups in lat.items():
+        assert all(s > 1 for s in speedups.values()), (name, speedups)
+
+
+def test_split_closes_each_chunk_when_whole():
+    """Chunk 0's reader sees EOF while chunk 1 is still blocked on a full pipe."""
+    nodes = [
+        SimNode("split", rate=1e6, inputs=[0], outputs=[1, 2], split_even=True,
+                in_volume=1e4, out_volume=1e4),
+        SimNode("a", rate=1e6, inputs=[1], outputs=[3], in_volume=5e3, out_volume=5e3),
+        SimNode("b", rate=1e6, inputs=[2], outputs=[4], in_volume=5e3, out_volume=5e3),
+        # reads a's output to its end before b's
+        SimNode("cat", rate=1e6, inputs=[3, 4], outputs=[5], in_volume=1e4, out_volume=1e4),
+    ]
+    edges = [SimEdge("eager", None, 0, preloaded=1e4), SimEdge("eager", 0, 1),
+             SimEdge("fifo", 0, 2), SimEdge("fifo", 1, 3), SimEdge("fifo", 2, 3),
+             SimEdge("eager", 3, None)]
+    assert not simulate(nodes, edges).deadlocked
 
 
 def test_sequential_time_positive():

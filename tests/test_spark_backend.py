@@ -10,10 +10,12 @@ import pandas as pd
 import pytest
 from pyspark import TaskContext
 
+from repro.annotations import resolve_invocation
 from repro.commands.base import CommandError, ExecEnv
 from repro.compiler import pash_seq, pash_spark
 from repro.dfg.graph import split_chunks
 from repro.oracle import assert_equivalent
+from repro.runtime.aggregators import range_form
 from repro.runtime.stream import SparkStream
 from repro.workloads import ONELINERS, UNIX50
 from repro.workloads import noaa, webindex
@@ -119,6 +121,16 @@ class TestStream:
         st = SparkStream.from_lines(spark, lines, 3).split(width)
         assert st.rdd.getNumPartitions() == width
         assert st.per_chunk(partition).collect_lines() == expected
+        # sort's range form, over sorted chunks as sort's maps give them:
+        # range k is computed in partition k, and every range emits its
+        # chunk, an empty one too
+        res = resolve_invocation("sort", [])
+        for src in (lines, []):
+            st = SparkStream.from_lines(spark, src, 3).per_chunk(sorted).split(
+                width, ranges=range_form(res.aggregator, res))
+            assert st.rdd.getNumPartitions() == width
+            assert st.per_chunk(partition).collect_lines() == expected
+            assert st.collect_lines() == sorted(src)
 
     @pytest.mark.parametrize("width", [1, 4])
     def test_non_ascii_and_empty_lines(self, spark, width):
@@ -399,8 +411,11 @@ def _plan(spark, script, env):
 
 
 @pytest.mark.parametrize("script,n_jobs,tasks", [
-    # map | agg + split | the map after the split, collected: one job
-    (SORT_SORT, 1, [4, 1, 4]),
+    # map | sort's agg + split in 4 range tasks, with the map after the
+    # split, collected: one job
+    (SORT_SORT, 1, [4, 4]),
+    # an aggregator without a range form runs in the split's one task
+    ("cat in.txt | uniq -c | sort -rn", 1, [4, 1, 4]),
     ("cat in.txt | sort", 1, [4]),
     # one job per input region, both collected to the driver's diff
     ("diff <(cat in.txt | sort) <(cat in2.txt | sort)", 2, [4, 4]),
