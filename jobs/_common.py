@@ -35,8 +35,6 @@ def get_spark(app: str) -> SparkSession:
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
         .config("spark.driver.maxResultSize", "0")
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")

@@ -13,6 +13,7 @@ Usage: ``spark-submit jobs/micro_sort.py [n_lines] [widths,..]``
 """
 from __future__ import annotations
 
+import os
 import sys
 import time
 from typing import Dict, List
@@ -64,6 +65,10 @@ def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_500_000
     widths = [int(x) for x in sys.argv[2].split(",")] if len(sys.argv) > 2 else None
     spark = get_spark("micro-sort")
+    # the native orderBy baseline is the only reader; streams never shuffle
+    # through Spark SQL
+    spark.conf.set("spark.sql.shuffle.partitions",
+                   os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
     spark.sparkContext.setLogLevel("ERROR")
     print_table(run(spark, n_lines=n, widths=widths), "§6.5 parallel sort")
     spark.stop()

@@ -45,3 +45,20 @@ def xargs_hook(record, argv: List[str]) -> Resolved:
         # single batched invocation: pure but batch-sensitive -> N
         return Resolved("xargs", CLASS_N, inputs=["stdin"], opts=opts, operands=operands)
     return Resolved("xargs", CLASS_E)
+
+
+def paste_hook(record, argv: List[str]) -> Resolved:
+    # every `-` reads on from the one stdin, which one DFG edge per operand
+    # cannot express for two of them
+    positions: List[int] = []
+    try:
+        opts, operands = parse_opts(argv, flags="s", with_arg="d", positions=positions)
+    except CommandError:
+        return Resolved("paste", CLASS_E)
+    if operands.count("-") > 1:
+        return Resolved("paste", CLASS_E)
+    # one stream pasted alone is itself: S. Several are zipped, not
+    # concatenated, and -s joins a whole stream into one line: N
+    cls = CLASS_N if "s" in opts or len(operands) > 1 else CLASS_S
+    return Resolved("paste", cls, inputs=list(range(len(operands))) or ["stdin"],
+                    opts=opts, operands=operands, operand_pos=positions, argv=list(argv))

@@ -197,6 +197,7 @@ LIBRARY: Dict[str, Dict] = {
         "options": ["short-combined"],
     },
     "xargs": {"command": "xargs", "hook": "xargs_hook"},
+    "paste": {"command": "paste", "hook": "paste_hook"},
     # sources: no streaming input; pure given the immutable simulated
     # environment (vfs/network), so they may live inside a dataflow region
     "curl": {

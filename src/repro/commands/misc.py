@@ -1,4 +1,4 @@
-"""Misc commands: wc, sha1sum, xargs (higher-order), file, diff, awk subset,
+"""Misc commands: wc, sha1sum, xargs (higher-order), file, diff, paste, awk subset,
 nl, echo, plus the simulated-environment commands curl/gunzip (DESIGN.md §5:
 the vfs doubles as the network, and .gz payloads are real gzip bytes carried
 as base64 lines so decompression does real CPU work).
@@ -143,6 +143,65 @@ def diff(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
             out.append(f"{i1}a{lb}")
             out.extend(f"> {x}" for x in b[j1:j2])
     return out
+
+
+# GNU paste's delimiter escapes; ``\\0`` is the empty delimiter
+_PASTE_ESCAPES = {"0": "", "\\": "\\", "n": "\n", "t": "\t", "b": "\b", "f": "\f",
+                  "r": "\r", "v": "\v"}
+
+
+def _paste_delims(spec: str) -> List[str]:
+    out: List[str] = []
+    i = 0
+    while i < len(spec):
+        c = spec[i]
+        if c == "\\":
+            if i + 1 == len(spec):
+                raise CommandError(
+                    f"paste: delimiter list ends with an unescaped backslash: {spec}")
+            i += 1
+            c = _PASTE_ESCAPES.get(spec[i], spec[i])
+        out.append(c)
+        i += 1
+    return out or [""]
+
+
+def _paste_row(vals: List[str], delims: List[str]) -> List[str]:
+    """``vals`` joined by the cycling delimiters, as output lines (a
+    newline delimiter ends a line)."""
+    row = vals[0]
+    for j, v in enumerate(vals[1:]):
+        row += delims[j % len(delims)] + v
+    return row.split("\n")
+
+
+@register("paste")
+def paste(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
+    """``paste [-s] [-d LIST] [FILE...]``: line ``i`` of every file joined
+    into output line ``i`` (a file that has ended gives an empty field), or
+    with ``-s`` each file's lines joined into one line. Delimiters cycle
+    through LIST (default TAB). As in GNU, every ``-`` reads on from the one
+    stdin. Class N: its inputs are zipped, not concatenated."""
+    opts, operands = parse_opts(argv, flags="s", with_arg="d")
+    delims = _paste_delims(str(opts.get("d", "\t")))
+    operands = operands or ["-"]
+    if "s" in opts:
+        out: List[str] = []
+        stdin_left = stdin
+        for op in operands:
+            lines = env.read(op) if op != "-" else stdin_left
+            if op == "-":
+                stdin_left = []
+            out.extend(_paste_row(lines or [""], delims))
+        return out
+    pipe = iter(stdin)
+    cols = [pipe if op == "-" else iter(env.read(op)) for op in operands]
+    out = []
+    while True:
+        vals = [next(c, None) for c in cols]
+        if all(v is None for v in vals):
+            return out
+        out.extend(_paste_row([v or "" for v in vals], delims))
 
 
 _AWK_PRINT = re.compile(r"^\{\s*print\s*(.*?)\s*\}$")

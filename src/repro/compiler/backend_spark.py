@@ -9,16 +9,23 @@ width sinks, §6.1's "No Split") is made once, in ``parallelize``:
 
 * the ``(k, w)`` chunk edges of one input are the lanes of one stream;
 * ``map`` copies over the lanes of one stream fuse into one ``per_chunk``;
-* an ``agg`` tree collapses to one aggregator over its leaves, placed by
-  the node that reads its output: in the ``split`` it feeds (PaSh's
-  ``agg | split``; ``width`` range tasks when the aggregator has a range
-  form, sort's ``rerun``, else one task), else on the driver, as a list;
+* an ``agg`` tree collapses to one aggregator over its leaves, held until
+  the node that reads its output places it: in the ``split`` it feeds
+  (PaSh's ``agg | split``; ``width`` range tasks when the aggregator has a
+  range form, sort's ``rerun``, else one task), else on the driver, after
+  the read that fetches its stream;
 * a ``split`` fed by no aggregator distributes a driver-side list;
-* ``cat`` concatenates lists on the driver, else streams;
+* ``cat`` concatenates streams, or lists on the driver when all its inputs
+  are driver-side;
 * ``cmd`` and ``relay`` nodes run on the driver.
 
-Streams are RDDs of chunk records, one record per chunk, so a region
-samples and caches nothing and leaves no state in the session; they need a
+Driver reads — ``cmd`` and ``relay`` nodes, list ``cat``s and the graph's
+outputs — fetch every stream input and static of the node in one Spark job
+(``SparkStream.read_together``), where lane ``k`` of every input runs in
+task ``k``: ``diff <(… | sort) <(… | sort)`` is one job of ``width`` tasks.
+
+Streams are chunk records, one per chunk, kept on the driver until a read
+ships them and then an RDD, so a region samples and caches nothing and leaves no state in the session; they need a
 classic session, not a Spark Connect one. A ``CommandError`` raised in a
 Spark task reaches the caller as ``CommandError``, as on the sequential
 backend.
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from py4j.protocol import Py4JJavaError
@@ -36,7 +44,7 @@ from repro.commands.base import CommandError, ExecEnv
 from repro.dfg.graph import DFG, Node
 from repro.dfg.transform import parallelize
 from repro.runtime.aggregators import AGGREGATORS, RangeFn, range_form
-from repro.runtime.stream import AggFn, SparkStream
+from repro.runtime.stream import AggFn, SparkStream, concat
 
 from .backend_seq import exec_node, read_input, write_outputs
 
@@ -49,9 +57,6 @@ _ENV_READERS = {"xargs", "curl", "file"}
 _TASK_COMMAND_ERROR = re.compile(
     rf"^{re.escape(CommandError.__module__)}\.CommandError: (.*)\s*\Z", re.M)
 _JAVA_FRAME = "\n\tat "
-
-# an edge's value: lines on the driver, a whole stream, or lane k of a stream
-Value = Union[List[str], SparkStream, Tuple[SparkStream, int]]
 
 
 def _node_fn(node: Node, statics: List[List[str]], env_files: Dict[str, List[str]],
@@ -77,6 +82,21 @@ def _command_errors():
         raise CommandError(m.group(1)) from e
 
 
+@dataclass(frozen=True)
+class _Held:
+    """An aggregator root not run yet: the node that reads its output
+    places it — a ``split`` runs it in its own tasks, any other reader on
+    the driver, in the action that reads the reader's other inputs."""
+    stream: SparkStream
+    agg: AggFn
+    ranges: Optional[RangeFn]
+
+
+# an edge's value: lines on the driver, a whole stream, lane k of a stream,
+# or an aggregator over a stream
+Value = Union[List[str], SparkStream, Tuple[SparkStream, int], _Held]
+
+
 @_command_errors()
 def run_dfg_spark(
     spark: SparkSession,
@@ -92,8 +112,6 @@ def run_dfg_spark(
     ingested: Dict[Tuple[Optional[str], int], SparkStream] = {}
     fused: Dict[Tuple[SparkStream, int], SparkStream] = {}
     trees: Dict[int, List[Value]] = {}  # inner edge of an agg tree -> its leaves
-    # agg root's edge -> the split it feeds: input stream, aggregator, range form
-    held: Dict[int, Tuple[SparkStream, AggFn, Optional[RangeFn]]] = {}
 
     def value(eid: int) -> Value:
         if eid not in values:
@@ -125,56 +143,64 @@ def run_dfg_spark(
                             else SparkStream.from_lines(spark, v))
                 n_lanes += runs[-1].n_parts
         assert sum(st.n_parts for st in runs) == n_lanes, "lanes are consumed whole"
-        return runs[0] if len(runs) == 1 else SparkStream.cat(runs)
+        return SparkStream.cat(runs)
 
-    def lines(v: Value) -> List[str]:
-        return v if isinstance(v, list) else stream_of([v]).collect_lines()
+    def on_driver(vals: List[Value]) -> List[List[str]]:
+        """The lines of every value, all of its streams read in one action."""
+        reads = [(v.stream, v.agg) if isinstance(v, _Held) else (stream_of([v]), concat)
+                 for v in vals if not isinstance(v, list)]
+        got = iter(SparkStream.read_together(reads))
+        return [v if isinstance(v, list) else next(got) for v in vals]
 
-    def statics(n: Node) -> List[List[str]]:
-        return [lines(value(e)) for e in n.statics]
+    def unhold(vals: List[Value]) -> List[Value]:
+        """``vals`` with every held aggregator run on the driver."""
+        held = [v for v in vals if isinstance(v, _Held)]
+        got = iter(on_driver(held))
+        return [next(got) if isinstance(v, _Held) else v for v in vals]
 
     for nid in pg.topo_order():
         n = pg.nodes[nid]
-        ins = [value(e) for e in n.inputs if e not in trees and e not in held]
+        ins = [value(e) for e in n.inputs if e not in trees]
         if n.kind == "map":
-            st, k = ins[0] if isinstance(ins[0], tuple) else (stream_of(ins), 0)
+            st, k = ins[0] if isinstance(ins[0], tuple) else (stream_of(unhold(ins)), 0)
             # copies of one command share its Resolved: the first one builds
             # the stage for all the lanes of ``st``
             key = (st, id(n.resolved))
             if key not in fused:
                 env_files = dict(env.files) if n.cmd in _ENV_READERS else {}
-                fused[key] = st.per_chunk(_node_fn(n, statics(n), env_files, env.ftypes))
+                statics = on_driver([value(e) for e in n.statics])
+                fused[key] = st.per_chunk(_node_fn(n, statics, env_files, env.ftypes))
             outs: List[Value] = [(fused[key], k)]
         elif n.kind == "agg":
             leaves = [v for e in n.inputs for v in trees.pop(e, None) or [value(e)]]
             dst = pg.edges[n.outputs[0]].dst
-            consumer = None if dst is None else pg.nodes[dst].kind
-            if consumer == "agg":
+            if dst is not None and pg.nodes[dst].kind == "agg":
                 trees[n.outputs[0]] = leaves  # lowered with the root of its tree
                 continue
             fn = AGGREGATORS[n.agg_name]
             agg = lambda parts, _f=fn, _s=n.agg_spec: _f(parts, _s)
-            if consumer == "split":
-                held[n.outputs[0]] = (stream_of(leaves), agg,
-                                      range_form(n.agg_name, n.agg_spec))
-                continue
-            outs = [stream_of(leaves).collect_lines(agg)]
+            outs = [_Held(stream_of(leaves), agg, range_form(n.agg_name, n.agg_spec))]
         elif n.kind == "split":
             w = len(n.outputs)
-            if n.inputs[0] in held:
-                st, agg, ranges = held.pop(n.inputs[0])
-                st = st.split(w, agg, ranges)
+            if isinstance(ins[0], _Held):
+                st = ins[0].stream.split(w, ins[0].agg, ins[0].ranges)
             else:
-                st = SparkStream.from_lines(spark, lines(ins[0]), w)
+                st = SparkStream.from_lines(spark, on_driver(ins)[0], w)
             outs = [(st, k) for k in range(w)]
         elif n.kind == "cat":
-            outs = [[l for v in ins for l in v] if all(isinstance(v, list) for v in ins)
-                    else stream_of(ins)]
+            if all(isinstance(v, (list, _Held)) for v in ins):
+                outs = [concat(on_driver(ins))]
+            else:
+                outs = [stream_of(unhold(ins))]
         elif n.kind == "relay":
-            outs = [lines(ins[0])] * len(n.outputs)
+            outs = on_driver(ins) * len(n.outputs)
         elif n.kind == "cmd":
-            outs = [exec_node(n, [lines(v) for v in ins], statics(n), env)]
+            got = on_driver(ins + [value(e) for e in n.statics])
+            outs = [exec_node(n, got[:len(ins)], got[len(ins):], env)]
         else:
             raise ValueError(f"unknown node kind {n.kind}")
         values.update(zip(n.outputs, outs))
-    return write_outputs(pg, lambda eid: lines(values[eid]), env)
+    # the graph's outputs are one driver read
+    sinks = pg.graph_outputs()
+    sink_lines = dict(zip(sinks, on_driver([values[e] for e in sinks])))
+    return write_outputs(pg, sink_lines.__getitem__, env)

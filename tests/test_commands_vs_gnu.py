@@ -123,6 +123,11 @@ CASES = [
     ("sed", ["-n", "4p"], "sed -n 4p"),
     ("sed", ["-n", "2,5p"], "sed -n 2,5p"),
     ("sed", ["s/ /_/g"], "sed 's/ /_/g'"),
+    ("paste", [], "paste"),
+    ("paste", ["-", "-"], "paste - -"),
+    ("paste", ["-d", ":,", "-", "-", "-"], "paste -d ':,' - - -"),
+    ("paste", ["-s", "-d", "\\n,"], r"paste -s -d '\n,'"),
+    ("paste", ["-s", "-"], "paste -s -"),
 ]
 
 

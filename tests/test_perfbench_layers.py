@@ -38,7 +38,8 @@ def _env():
 @pytest.mark.parametrize("workload,calls,driver_exec_nodes", [
     # ingest, split, sink, driver-side aggregator calls
     ("sort-sort", (1, 1, 1, 1), 0),
-    ("diff", (2, 0, 2, 2), 1),
+    # both regions are read in one sink, each through its own aggregator
+    ("diff", (2, 0, 1, 2), 1),
 ])
 def test_layer_hooks_trace_one_call(spark, layers, workload, calls, driver_exec_nodes):
     script = ONELINERS[workload].script

@@ -6,7 +6,6 @@ import random
 import uuid
 import zipfile
 
-import pandas as pd
 import pytest
 from pyspark import TaskContext
 
@@ -14,12 +13,13 @@ from repro.annotations import resolve_invocation
 from repro.commands.base import CommandError, ExecEnv
 from repro.compiler import pash_seq, pash_spark
 from repro.dfg.graph import split_chunks
-from repro.oracle import assert_equivalent
 from repro.runtime.aggregators import range_form
 from repro.runtime.stream import SparkStream
 from repro.workloads import ONELINERS, UNIX50
 from repro.workloads import noaa, webindex
 from repro.workloads.inputs import text_corpus
+
+from .duckdb_oracle import assert_equivalent
 
 
 def fresh(env):
@@ -417,8 +417,12 @@ def _plan(spark, script, env):
     # an aggregator without a range form runs in the split's one task
     ("cat in.txt | uniq -c | sort -rn", 1, [4, 1, 4]),
     ("cat in.txt | sort", 1, [4]),
-    # one job per input region, both collected to the driver's diff
-    ("diff <(cat in.txt | sort) <(cat in2.txt | sort)", 2, [4, 4]),
+    # both input regions read in one job: task k runs lane k of each
+    ("diff <(cat in.txt | sort) <(cat in2.txt | sort)", 1, [4]),
+    # a narrow input and one past a split's shuffle, read in one job: the
+    # final stage is the narrow input's 4 tasks in union with the 4 tasks
+    # after the shuffle
+    ("diff <(cat in.txt | sort | sort -r) <(cat in2.txt | sort)", 1, [4, 8]),
 ])
 def test_plan_shape(spark, corpus_env, script, n_jobs, tasks):
     out, jobs, stage_tasks = _plan(spark, script, corpus_env)
@@ -429,57 +433,46 @@ def test_plan_shape(spark, corpus_env, script, n_jobs, tasks):
 
 
 class TestOracle:
-    """DuckDB cross-checks: the PaSh-on-Spark result, loaded as a
-    DataFrame, must match the equivalent SQL over the raw input."""
-
-    def _df(self, spark, lines, cols):
-        return spark.createDataFrame(pd.DataFrame(cols(lines)))
+    """DuckDB cross-checks: the PaSh-on-Spark result, as columns, must match
+    the equivalent SQL over the raw input."""
 
     def test_grep_filter_oracle(self, spark, corpus_env):
         out = pash_spark(spark, "cat in.txt | grep the | sort -u",
                          fresh(corpus_env), width=4)
-        got = spark.createDataFrame(pd.DataFrame({"line": out}))
-        inp = pd.DataFrame({"line": corpus_env.files["in.txt"]})
         assert_equivalent(
-            got,
+            {"line": out},
             "SELECT DISTINCT line FROM inp WHERE line LIKE '%the%'",
-            inp=inp,
+            inp={"line": corpus_env.files["in.txt"]},
         )
 
     def test_wc_count_oracle(self, spark, corpus_env):
         out = pash_spark(spark, "cat in.txt | grep the | wc -l",
                          fresh(corpus_env), width=4)
-        got = spark.createDataFrame(pd.DataFrame({"n": [int(out[0])]}))
-        inp = pd.DataFrame({"line": corpus_env.files["in.txt"]})
         assert_equivalent(
-            got,
+            {"n": [int(out[0])]},
             "SELECT CAST(count(*) AS BIGINT) AS n FROM inp WHERE line LIKE '%the%'",
-            inp=inp,
+            inp={"line": corpus_env.files["in.txt"]},
         )
 
     def test_word_histogram_oracle(self, spark, corpus_env):
         script = 'cat in.txt | tr -cs A-Za-z "\\n" | tr A-Z a-z | sort | uniq -c'
         out = pash_spark(spark, script, fresh(corpus_env), width=4)
-        rows = [(int(l[:7]), l[8:]) for l in out]
-        got = spark.createDataFrame(pd.DataFrame(rows, columns=["n", "word"]))
-        inp = pd.DataFrame({"line": corpus_env.files["in.txt"]})
         assert_equivalent(
-            got,
+            {"n": [int(l[:7]) for l in out], "word": [l[8:] for l in out]},
             """
             SELECT CAST(count(*) AS BIGINT) AS n, word FROM (
               SELECT lower(unnest(regexp_extract_all(line, '[A-Za-z]+'))) AS word
               FROM inp
             ) GROUP BY word
             """,
-            inp=inp,
+            inp={"line": corpus_env.files["in.txt"]},
         )
 
     def test_sort_content_oracle(self, spark, corpus_env):
         out = pash_spark(spark, "cat in.txt | tr A-Z a-z | sort",
                          fresh(corpus_env), width=4)
-        got = spark.createDataFrame(pd.DataFrame({"line": out}))
-        inp = pd.DataFrame({"line": corpus_env.files["in.txt"]})
-        assert_equivalent(got, "SELECT lower(line) AS line FROM inp", inp=inp)
+        assert_equivalent({"line": out}, "SELECT lower(line) AS line FROM inp",
+                          inp={"line": corpus_env.files["in.txt"]})
 
     def test_noaa_max_oracle(self, spark):
         """The NOAA answer equals SQL MAX over the decoded raw records."""
@@ -488,23 +481,33 @@ class TestOracle:
 
         env = noaa.make_env(0.05)
         out = pash_spark(spark, noaa.FULL, fresh(env), width=3)
-        rows = []
+        got = {"year": [], "max_t": []}
         for l in out:
             year, temp = l.removeprefix("Maximum temperature for ").split(" is: ")
-            rows.append((int(year), temp))
-        got = spark.createDataFrame(pd.DataFrame(rows, columns=["year", "max_t"]))
+            got["year"].append(int(year))
+            got["max_t"].append(temp)
 
-        recs = []
+        raw = {"year": [], "t": []}
         for name, content in env.files.items():
             if name.endswith(".gz"):
                 year = int(name.split("/")[1])
                 text = gzip.decompress(base64.b64decode(content[0])).decode()
                 for rec in text.split("\n")[:-1]:
-                    recs.append((year, rec[88:92]))
-        raw = pd.DataFrame(recs, columns=["year", "t"])
+                    raw["year"].append(year)
+                    raw["t"].append(rec[88:92])
         assert_equivalent(
             got,
             "SELECT year, max(t) AS max_t FROM raw "
             "WHERE t NOT LIKE '%999%' GROUP BY year",
             raw=raw,
         )
+
+    def test_oracle_rejects_a_wrong_result(self):
+        lines = ["the a", "b", "the c"]
+        sql = "SELECT line FROM inp WHERE line LIKE '%the%'"
+        assert_equivalent({"line": ["the c", "the a"]}, sql, inp={"line": lines})
+        for wrong in (["the a"], ["the a", "the c", "the c"], ["the a", "b"]):
+            with pytest.raises(AssertionError):
+                assert_equivalent({"line": wrong}, sql, inp={"line": lines})
+        with pytest.raises(AssertionError, match="column mismatch"):
+            assert_equivalent({"text": ["the a", "the c"]}, sql, inp={"line": lines})
