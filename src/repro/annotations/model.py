@@ -131,6 +131,9 @@ def _resolve_inputs(tokens: Sequence[str], operands: List[str]):
             out.append(idx)
             continue
         raise ValueError(f"bad input token {tok}")
+    if operands.count("-") > 1:  # the first ``-`` reads stdin to its end
+        dashes = [i for i in out if i != "stdin" and operands[i] == "-"]
+        out = [i for i in out if i not in dashes[1:]]
     return out, True
 
 

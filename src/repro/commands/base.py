@@ -132,12 +132,26 @@ def parse_opts(
     return opts, operands
 
 
+def operand_streams(operands: List[str], stdin: List[str], env: ExecEnv) -> List[List[str]]:
+    """The stream each operand names (``-`` = stdin). As in GNU, the first
+    ``-`` reads stdin to its end, so a later ``-`` reads nothing."""
+    out: List[List[str]] = []
+    for op in operands:
+        if op == "-":
+            out.append(stdin)
+            stdin = []
+        else:
+            out.append(env.read(op))
+    return out
+
+
 def resolve_streams(operands: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
-    """Concatenate the streams named by ``operands`` (``-`` = stdin); when
-    there are no operands, the stream is stdin itself."""
+    """Concatenate the streams named by ``operands`` (see
+    :func:`operand_streams`); when there are no operands, the stream is
+    stdin itself."""
     if not operands:
         return stdin
     out: List[str] = []
-    for op in operands:
-        out.extend(stdin if op == "-" else env.read(op))
+    for lines in operand_streams(operands, stdin, env):
+        out.extend(lines)
     return out

@@ -12,6 +12,7 @@ import re
 from typing import List
 
 from .base import CommandError, ExecEnv, REGISTRY, parse_opts, register, resolve_streams
+from .diffseq import normal_diff
 
 
 def stream_bytes(lines: List[str]) -> bytes:
@@ -116,33 +117,15 @@ def file_cmd(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
 
 @register("diff")
 def diff(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
-    """Minimal line diff (normal format, SequenceMatcher-based). Class N:
-    purely functional over both inputs but not parallelizable (§3.1)."""
-    import difflib
-
+    """``diff FILE1 FILE2`` in GNU's normal format, with GNU's algorithm
+    (:mod:`repro.commands.diffseq`), so its hunks are GNU's. Either file
+    may be ``-``, stdin. Class N: purely functional over both inputs but
+    not parallelizable (§3.1)."""
     _, operands = parse_opts(argv)
     if len(operands) != 2:
         raise CommandError("diff: need two files")
-    a = stdin if operands[0] == "-" else env.read(operands[0])
-    b = stdin if operands[1] == "-" else env.read(operands[1])
-    out: List[str] = []
-    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b).get_opcodes():
-        if tag == "equal":
-            continue
-        la = f"{i1 + 1}" if i2 - i1 <= 1 else f"{i1 + 1},{i2}"
-        lb = f"{j1 + 1}" if j2 - j1 <= 1 else f"{j1 + 1},{j2}"
-        if tag == "replace":
-            out.append(f"{la}c{lb}")
-            out.extend(f"< {x}" for x in a[i1:i2])
-            out.append("---")
-            out.extend(f"> {x}" for x in b[j1:j2])
-        elif tag == "delete":
-            out.append(f"{la}d{j1}")
-            out.extend(f"< {x}" for x in a[i1:i2])
-        elif tag == "insert":
-            out.append(f"{i1}a{lb}")
-            out.extend(f"> {x}" for x in b[j1:j2])
-    return out
+    a, b = (stdin if op == "-" else env.read(op) for op in operands)
+    return normal_diff(a, b)
 
 
 # GNU paste's delimiter escapes; ``\\0`` is the empty delimiter

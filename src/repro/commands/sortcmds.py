@@ -17,7 +17,7 @@ import functools
 import re
 from typing import Callable, List, Tuple
 
-from .base import CommandError, ExecEnv, parse_opts, register, resolve_streams
+from .base import CommandError, ExecEnv, operand_streams, parse_opts, register, resolve_streams
 
 # under LC_ALL=C only ASCII digits are digits: ``sort -n`` reads '٣' as 0
 _NUM_PREFIX = re.compile(r"^[ \t]*(-?\d*\.?\d*)", re.ASCII)
@@ -96,11 +96,7 @@ def sort_cmd(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
         # merge mode: inputs are already sorted; equivalent to stable sort of
         # the concatenation under the same comparator (GNU documents -m as a
         # pure merge; for sorted inputs the results coincide).
-        streams = (
-            [stdin]
-            if not operands
-            else [stdin if op == "-" else env.read(op) for op in operands]
-        )
+        streams = operand_streams(operands, stdin, env) if operands else [stdin]
         out = merge_sorted(streams, key=key, reverse=rev)
     else:
         lines = resolve_streams(operands, stdin, env)

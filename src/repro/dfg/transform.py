@@ -128,8 +128,12 @@ def parallelize(
             return do_split(ib[0])
         return ib
 
-    def merge(b: List[int], *, kind: str = "pipe", label: Optional[str] = None) -> int:
-        if len(b) == 1 and kind == "pipe":
+    def merge(b: List[int], *, kind: str = "pipe", label: Optional[str] = None,
+              output: bool = False) -> int:
+        """One edge carrying the concatenation of ``b``. A graph ``output``
+        needs a node to produce it, even when ``b`` is one graph input (a
+        script of plain ``cat``s)."""
+        if len(b) == 1 and kind == "pipe" and not (output and g.edges[b[0]].src is None):
             return b[0]
         out = g.add_edge(kind=kind, label=label).eid
         g.add_node(kind="cat", cmd="cat", inputs=list(b), outputs=[out])
@@ -237,7 +241,8 @@ def parallelize(
             feeds_static = consumer is not None and out_eid in consumer.statics
             if orig_out.dst is None or orig_out.kind == "file":
                 # graph output or file sink: merge to one edge, keep identity
-                merged = merge(out_b, kind=orig_out.kind, label=orig_out.label)
+                merged = merge(out_b, kind=orig_out.kind, label=orig_out.label,
+                               output=orig_out.dst is None)
                 if orig_out.kind == "file" and orig_out.dst is not None:
                     bundle[out_eid] = [merged]
                 if feeds_static:

@@ -129,6 +129,16 @@ class TestResolution:
         assert resolve_invocation("grep", ["x"]).inputs == ["stdin"]
         assert resolve_invocation("grep", ["x", "f"]).inputs == [1]
 
+    @pytest.mark.parametrize("name,argv,inputs", [
+        ("cat", ["-", "-"], [0]),
+        ("cat", ["-", "f", "-"], [0, 1]),
+        ("sort", ["-r", "f", "-", "-"], [0, 1]),
+        ("diff", ["-", "-"], [0]),
+    ])
+    def test_a_repeated_dash_is_no_input(self, name, argv, inputs):
+        # the first ``-`` reads stdin to its end
+        assert resolve_invocation(name, argv).inputs == inputs
+
 
 class TestLibraryHygiene:
     def test_json_round_trip(self):

@@ -165,6 +165,16 @@ class TestEdgeCases:
         out = run_cli("sort", ["-nu"], ["10 z", "10 a"], ExecEnv())
         assert out == ["10 z"]
 
+    @pytest.mark.parametrize("name,argv,expected", [
+        ("cat", ["-", "-"], ["b", "a"]),
+        ("cat", ["-", "f", "-"], ["b", "a", "f"]),
+        ("sort", ["-", "-"], ["a", "b"]),
+        ("sort", ["-m", "f", "-", "-"], ["b", "a", "f"]),
+    ])
+    def test_a_repeated_dash_reads_nothing(self, name, argv, expected):
+        # as in GNU: the first ``-`` reads stdin to its end
+        assert run_cli(name, argv, ["b", "a"], ExecEnv(files={"f": ["f"]})) == expected
+
     def test_grep_two_files_rejected(self):
         env = ExecEnv(files={"a": [], "b": []})
         with pytest.raises(CommandError):

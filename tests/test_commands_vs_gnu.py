@@ -5,11 +5,16 @@ Every command our DFG nodes execute is compared byte-for-byte with
 ground-truth oracle for node semantics (DESIGN.md §6).
 """
 import random
+import shutil
 import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.commands import ExecEnv, run_cli
+from repro.commands import ExecEnv, diffseq, run_cli
 
 GNU_ENV = {"LC_ALL": "C", "PATH": "/usr/bin:/bin"}
 
@@ -254,3 +259,125 @@ def test_wf_pipeline_matches_gnu():
         cur = run_cli(name, args, cur, ExecEnv())
     theirs = gnu(r"tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn", lines)
     assert cur == theirs
+
+
+# --------------------------------------------------------------------------
+# diff: GNU's hunks, compared on files
+# --------------------------------------------------------------------------
+
+needs_gnu_diff = pytest.mark.skipif(shutil.which("diff", path=GNU_ENV["PATH"]) is None,
+                                    reason="diff is not on PATH")
+
+
+def gnu_diff(a, b, operands=("a", "b")):
+    """GNU ``diff`` over ``a`` and ``b`` written to files ``a`` and ``b``.
+    An operand ``-`` reads stdin, which holds ``a`` when the first operand
+    is ``-`` and ``b`` otherwise."""
+    with tempfile.TemporaryDirectory() as d:
+        for name, lines in (("a", a), ("b", b)):
+            Path(d, name).write_bytes("".join(l + "\n" for l in lines).encode())
+        with open(Path(d, "a" if operands[0] == "-" else "b"), "rb") as stdin:
+            r = subprocess.run(["diff", *operands], stdin=stdin, cwd=d, capture_output=True,
+                               encoding="utf-8", env=GNU_ENV)
+    assert r.returncode in (0, 1), r.stderr  # 1: the files differ
+    return r.stdout.split("\n")[:-1]
+
+
+def our_diff(a, b, operands=("a", "b")):
+    stdin = a if operands[0] == "-" else b
+    return run_cli("diff", list(operands), stdin, ExecEnv(files={"a": a, "b": b}))
+
+
+@st.composite
+def diff_inputs(draw, min_lines, max_lines):
+    """Two files for ``diff``. A line is, at a drawn rate, a rare line that
+    mostly matches nothing in the other file (a definite discard), else one
+    of a small alphabet, so it repeats and GNU discards some such lines
+    provisionally. The second file is drawn afresh or is the first with
+    edits."""
+    rnd = draw(st.randoms(use_true_random=False))
+    common = draw(st.lists(st.text("ab ", max_size=2), min_size=1, max_size=4, unique=True))
+    rare = draw(st.floats(0, 1))
+
+    def line():
+        return f"x{rnd.randrange(1000)}" if rnd.random() < rare else rnd.choice(common)
+
+    a = [line() for _ in range(draw(st.integers(min_lines, max_lines)))]
+    if draw(st.booleans()):
+        return a, [line() for _ in range(draw(st.integers(min_lines, max_lines)))]
+    b = list(a)
+    for _ in range(draw(st.integers(0, 12))):
+        p = rnd.randrange(len(b) + 1)
+        b[p:p + rnd.randrange(4)] = [line() for _ in range(rnd.randrange(4))]
+    return a, b
+
+
+# GNU's threshold for a provisional discard doubles at 256 lines
+@needs_gnu_diff
+@given(diff_inputs(0, 255))
+@settings(max_examples=150, deadline=None)
+def test_diff_matches_gnu_under_256_lines(pair):
+    assert our_diff(*pair) == gnu_diff(*pair)
+
+
+@needs_gnu_diff
+@given(diff_inputs(257, 600))
+@settings(max_examples=30, deadline=None)
+def test_diff_matches_gnu_over_256_lines(pair):
+    assert our_diff(*pair) == gnu_diff(*pair)
+
+
+DIFF_CASES = {
+    "both-empty": ([], []),
+    "first-empty": ([], ["a", "b"]),
+    "second-empty": (["a", "b"], []),
+    "identical": (corpus(12, 40), corpus(12, 40)),
+    "all-equal-lines": (["same"] * 20, ["same"] * 13),
+    "one-common-line": (["a", "b", "c"], ["x", "b", "y"]),
+    # Myers' example: several longest common subsequences
+    "non-unique-lcs": (list("abcabba"), list("cbabac")),
+    "swapped": (["a", "b"], ["b", "a"]),
+    # "c" matches 6 lines of the second file, more than GNU's threshold of
+    # 5, and sits inside a run of unmatched lines: GNU discards it, so it
+    # is not matched with any of them
+    "provisional-discard": ([f"u{i}" for i in range(10)] + ["c"]
+                            + [f"u{i}" for i in range(10, 20)], ["c"] * 6),
+    "non-ascii-and-empty-lines": (["é", "", "a", "日本", ""], ["a", "", "é", ""]),
+    "shifted-boundaries": (["a", "b", "a", "b", "c"], ["a", "b", "c"]),
+}
+
+
+@needs_gnu_diff
+@pytest.mark.parametrize("case", list(DIFF_CASES))
+def test_diff_cases_match_gnu(case):
+    a, b = DIFF_CASES[case]
+    assert our_diff(a, b) == gnu_diff(a, b)
+
+
+@needs_gnu_diff
+@pytest.mark.parametrize("operands", [("-", "b"), ("a", "-"), ("-", "-")])
+def test_diff_stdin_operand_matches_gnu(operands):
+    a, b = corpus(13, 60), corpus(14, 60)
+    assert our_diff(a, b, operands) == gnu_diff(a, b, operands)
+
+
+@needs_gnu_diff
+def test_diff_too_expensive_cut_off_matches_gnu(monkeypatch):
+    # 8300 lines against 10 over two letters: no line is discarded, and the
+    # cheapest edit script costs more than 8192, so the middle snake passes
+    # GNU's too_expensive cost of 4096 before its two searches meet and
+    # settles for the furthest point one of them reached
+    rnd = random.Random(1)
+    a = [rnd.choice("ab") for _ in range(8300)]
+    b = [rnd.choice("ab") for _ in range(10)]
+    midpoints = []
+    diag = diffseq._diag
+
+    def recorded(*args):
+        midpoints.append(diag(*args))
+        return midpoints[-1]
+
+    monkeypatch.setattr(diffseq, "_diag", recorded)
+    assert our_diff(a, b) == gnu_diff(a, b)
+    # a cut-off leaves one half of the split to be found minimally
+    assert any(lo_minimal != hi_minimal for _, _, lo_minimal, hi_minimal in midpoints)

@@ -63,14 +63,7 @@ def test_two_region_driver_commands(spark, script, inputs, width):
     assert out == run_dfg_seq(parallelize(step.dfg, width), ExecEnv(files=_files(inputs)))
 
 
-# diff's hunks are SequenceMatcher's, and GNU's algorithm picks other hunks
-# when the inputs' longest common subsequence is not unique
-_DIFF_HUNKS = pytest.mark.xfail(strict=True, reason="diff chooses other hunks than GNU")
-
-
-@pytest.mark.parametrize("script,inputs", [
-    pytest.param(s, i, marks=_DIFF_HUNKS) if (s, i) == (SCRIPTS[4], "overlap") else (s, i)
-    for s in SCRIPTS for i in INPUTS])
+@pytest.mark.parametrize("script,inputs", [(s, i) for s in SCRIPTS for i in INPUTS])
 def test_two_region_driver_commands_match_gnu(tmp_path, script, inputs):
     # pash_spark equals pash_seq at every width (above), so this compares
     # every backend with GNU

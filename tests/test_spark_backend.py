@@ -3,6 +3,7 @@ shell semantics, byte for byte, for every benchmark script — plus DuckDB
 oracle cross-checks for the query-shaped results.
 """
 import random
+import subprocess
 import uuid
 import zipfile
 
@@ -214,6 +215,28 @@ def test_spark_empty_chunks(spark, script, lines, width, expected):
     env = ExecEnv(files={"in.txt": lines})
     assert pash_seq(script, fresh(env)) == expected
     assert pash_spark(spark, script, fresh(env), width=width) == expected
+
+
+# the first ``-`` reads the pipe to its end and a later one reads nothing;
+# a script of plain cats still has a node that produces its output
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("script", [
+    "cat in.txt | cat - -",
+    "cat in.txt | cat - in2.txt -",
+    "cat - - < in.txt",
+    "cat in.txt | sort - -",
+    "cat in.txt | tr a-z A-Z | sort -r - in2.txt - | uniq -c",
+    "cat in.txt",
+])
+def test_repeated_dash_reads_the_pipe_once(spark, tmp_path, script, width):
+    files = {"in.txt": text_corpus(30, seed=4), "in2.txt": text_corpus(10, seed=5)}
+    for name, lines in files.items():
+        (tmp_path / name).write_text("".join(l + "\n" for l in lines))
+    gnu = subprocess.run(["bash", "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                         env={"LC_ALL": "C", "PATH": "/usr/bin:/bin"}, check=True)
+    expected = gnu.stdout.split("\n")[:-1]
+    assert pash_seq(script, ExecEnv(files=dict(files))) == expected
+    assert pash_spark(spark, script, ExecEnv(files=dict(files)), width=width) == expected
 
 
 @pytest.mark.parametrize("script,message", [
