@@ -30,6 +30,10 @@ os.environ.setdefault(
 
 from pyspark.sql import SparkSession
 
+# wall-clock widths are sized to the host; widths 16 and 64 belong to pipesim
+NPROC = os.cpu_count() or 1
+HOST_WIDTHS = list(dict.fromkeys([1, 2, NPROC]))
+
 
 def get_spark(app: str) -> SparkSession:
     return (

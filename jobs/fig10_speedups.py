@@ -15,10 +15,9 @@ from __future__ import annotations
 import sys
 from typing import Dict, List
 
-from _common import get_spark, print_table
+from _common import HOST_WIDTHS, get_spark, print_table
 
 DEFAULT_SCRIPTS = ["nfa-regex", "sort", "top-n", "spell", "sort-sort", "bi-grams"]
-DEFAULT_WIDTHS = [2, 4, 8, 16]
 
 
 def run_wallclock(spark, *, scale: float = 1.0, names=None,
@@ -27,7 +26,7 @@ def run_wallclock(spark, *, scale: float = 1.0, names=None,
     from repro.workloads.harness import run_both
 
     names = names or DEFAULT_SCRIPTS
-    widths = widths or DEFAULT_WIDTHS
+    widths = widths or HOST_WIDTHS
     rows: List[Dict] = []
     for name in names:
         wl = ONELINERS[name]

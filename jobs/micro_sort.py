@@ -18,7 +18,7 @@ import sys
 import time
 from typing import Dict, List
 
-from _common import get_spark, print_table
+from _common import HOST_WIDTHS, get_spark, print_table
 
 
 def run(spark, *, n_lines: int = 1_500_000, widths=None) -> List[Dict]:
@@ -28,7 +28,7 @@ def run(spark, *, n_lines: int = 1_500_000, widths=None) -> List[Dict]:
     from repro.compiler import pash_seq, pash_spark
     from repro.workloads.inputs import text_corpus
 
-    widths = widths or [2, 4, 8, 16]
+    widths = widths or HOST_WIDTHS
     lines = text_corpus(n_lines, seed=0)
     env = ExecEnv(files={"in.txt": lines})
     script = "cat in.txt | sort"

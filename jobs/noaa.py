@@ -11,10 +11,10 @@ from __future__ import annotations
 import sys
 from typing import Dict, List
 
-from _common import get_spark, print_table
+from _common import NPROC, get_spark, print_table
 
 
-def run(spark, *, scale: float = 1.0, width: int = 16) -> List[Dict]:
+def run(spark, *, scale: float = 1.0, width: int = NPROC) -> List[Dict]:
     from repro.commands.base import ExecEnv
     from repro.compiler import pash_seq
     from repro.workloads import noaa
@@ -44,7 +44,7 @@ def run(spark, *, scale: float = 1.0, width: int = 16) -> List[Dict]:
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
-    width = int(sys.argv[2]) if len(sys.argv) > 2 else 16
+    width = int(sys.argv[2]) if len(sys.argv) > 2 else NPROC
     spark = get_spark("noaa")
     spark.sparkContext.setLogLevel("ERROR")
     print_table(run(spark, scale=scale, width=width), f"NOAA (width={width})")

@@ -10,10 +10,10 @@ from __future__ import annotations
 import sys
 from typing import Dict, List
 
-from _common import get_spark, print_table
+from _common import NPROC, get_spark, print_table
 
 
-def run(spark, *, scale: float = 1.0, width: int = 16, names=None) -> List[Dict]:
+def run(spark, *, scale: float = 1.0, width: int = NPROC, names=None) -> List[Dict]:
     from repro.workloads import UNIX50
     from repro.workloads.harness import run_both
 
@@ -36,7 +36,7 @@ def run(spark, *, scale: float = 1.0, width: int = 16, names=None) -> List[Dict]
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
-    width = int(sys.argv[2]) if len(sys.argv) > 2 else 16
+    width = int(sys.argv[2]) if len(sys.argv) > 2 else NPROC
     spark = get_spark("unix50")
     spark.sparkContext.setLogLevel("ERROR")
     print_table(run(spark, scale=scale, width=width), f"Unix50 (width={width})")

@@ -7,10 +7,10 @@ from __future__ import annotations
 import sys
 from typing import Dict, List
 
-from _common import get_spark, print_table
+from _common import NPROC, get_spark, print_table
 
 
-def run(spark, *, scale: float = 1.0, width: int = 16) -> List[Dict]:
+def run(spark, *, scale: float = 1.0, width: int = NPROC) -> List[Dict]:
     from repro.workloads import webindex
     from repro.workloads.harness import run_both
 
@@ -30,7 +30,7 @@ def run(spark, *, scale: float = 1.0, width: int = 16) -> List[Dict]:
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
-    width = int(sys.argv[2]) if len(sys.argv) > 2 else 16
+    width = int(sys.argv[2]) if len(sys.argv) > 2 else NPROC
     spark = get_spark("webindex")
     spark.sparkContext.setLogLevel("ERROR")
     print_table(run(spark, scale=scale, width=width), f"Web indexing (width={width})")

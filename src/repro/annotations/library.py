@@ -98,6 +98,8 @@ LIBRARY: Dict[str, Dict] = {
         "command": "uniq",
         "parse": {"flags": "cdi"},
         "cases": [
+            # a second operand is the file uniq writes its output to
+            {"predicate": _rx("args[1]", ""), "class": E},
             {"predicate": _ex("-c"), "class": P, "inputs": ["args"],
              "outputs": ["stdout"], "aggregator": "uniq_c"},
             {"predicate": _ex("-d"), "class": N, "inputs": ["args"], "outputs": ["stdout"]},

@@ -159,7 +159,9 @@ def fold_case(s: str) -> str:
 @register("uniq")
 def uniq(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
     opts, operands = parse_opts(argv, flags="cdi")
-    lines = resolve_streams(operands, stdin, env)
+    if len(operands) > 2:
+        raise CommandError(f"uniq: extra operand '{operands[2]}'")
+    lines = stdin if operands[:1] in ([], ["-"]) else env.read(operands[0])
     groups: List[Tuple[str, int]] = []
     fold = fold_case if opts.get("i") else str
     for l in lines:
@@ -168,10 +170,15 @@ def uniq(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
         else:
             groups.append((l, 1))
     if opts.get("c"):
-        return [f"{n:7d} {l}" for l, n in groups]
-    if opts.get("d"):
-        return [l for l, n in groups if n > 1]
-    return [l for l, _ in groups]
+        out = [f"{n:7d} {l}" for l, n in groups]
+    elif opts.get("d"):
+        out = [l for l, n in groups if n > 1]
+    else:
+        out = [l for l, _ in groups]
+    if operands[1:] in ([], ["-"]):
+        return out
+    env.files[operands[1]] = out  # the second operand is the output file
+    return []
 
 
 @register("comm")

@@ -11,9 +11,10 @@ width sinks, §6.1's "No Split") is made once, in ``parallelize``:
 * ``map`` copies over the lanes of one stream fuse into one ``per_chunk``;
 * an ``agg`` tree collapses to one aggregator over its leaves, held until
   the node that reads its output places it: in the ``split`` it feeds
-  (PaSh's ``agg | split``; ``width`` range tasks when the aggregator has a
-  range form, sort's ``rerun``, else one task), else on the driver, after
-  the read that fetches its stream;
+  (PaSh's ``agg | split``: ``width`` tasks after one shuffle, each
+  computing its chunk of the output, through the range form when the
+  aggregator has one, sort's ``rerun``, else from its whole output), else
+  on the driver, after the read that fetches its stream;
 * a ``split`` fed by no aggregator distributes a driver-side list;
 * ``cat`` concatenates streams, or lists on the driver when all its inputs
   are driver-side;

@@ -28,7 +28,10 @@ same ``width - 1`` splitters from a fixed sample of each (sorted) part,
 cuts every part at them by binary search in sort's full order, and reruns
 sort over its pieces. The chunks, concatenated, are ``rerun(parts)`` byte
 for byte; only their sizes differ from an even split, and PaSh's ``split``
-needs contiguous chunks, not equal ones. No other aggregator has the form.
+needs contiguous chunks, not equal ones. No other aggregator has the form:
+:func:`whole_range` gives any aggregator the trivial one, the chunks of its
+whole output as PaSh's ``split`` cuts them, which runs the whole aggregator
+in every range task.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ from repro.annotations.model import Resolved
 from repro.commands import run_cli
 from repro.commands.custom import ngrams_agg
 from repro.commands.sortcmds import sort_order
+from repro.dfg.graph import split_chunks
 
 RangeFn = Callable[[List[List[str]], int, int], List[str]]
 
@@ -104,6 +108,12 @@ def range_form(name: str, spec: Resolved) -> Optional[RangeFn]:
     if name == "rerun" and spec.command == "sort":
         return partial(_sort_range, spec)
     return None
+
+
+def whole_range(agg: Callable[[List[List[str]]], List[str]]) -> RangeFn:
+    """The range form every aggregator ``agg`` has: range ``r`` is chunk
+    ``r`` of ``agg(parts)`` as ``split_chunks`` cuts it."""
+    return lambda parts, r, width: split_chunks(agg(parts), width)[r]
 
 
 _UNIQ_C = re.compile(r"^\s*(\d+) (.*)$", re.S)

@@ -16,19 +16,15 @@ Mapping of PaSh runtime primitives (§5) onto Spark:
   on every chunk record (the n replicated nodes of transformation T;
   consecutive per-chunk stages fuse into one Python function, exactly
   PaSh's process-chain-per-width-lane execution),
-* ``split``  -> PaSh's aggregator piped into its split, in one
-  single-partition task: ``partitionBy(1)`` gathers the chunks behind a
-  stage boundary (so the maps keep their width), the aggregator (plain
-  concatenation by default) runs over them in chunk order and its output
-  is re-chunked into ``width`` contiguous pieces (count, then disperse,
-  like PaSh's split process), then ``partitionBy(width)`` places chunk
-  ``k`` in partition ``k``. An aggregator with a range form
-  (``aggregators.range_form``; only sort's ``rerun`` has one) runs
-  instead in ``width`` tasks after one shuffle: each map task pickles its
-  chunk once and sends the bytes to every range id, and task ``k``
-  computes chunk ``k`` of the aggregator's output from all the chunks.
-  The stream is the same and only its chunk sizes differ; the price is
-  ``width`` times the shuffle volume of the single task,
+* ``split``  -> PaSh's aggregator piped into its split, in ``width`` tasks
+  after one shuffle: each map task pickles its chunk once and sends the
+  bytes to every range id, and task ``k`` computes chunk ``k`` of the
+  aggregator's output from all the chunks. An aggregator with a range form
+  (``aggregators.range_form``; only sort's ``rerun`` has one) computes just
+  that chunk; any other (plain concatenation by default) runs whole in
+  every task, which keeps chunk ``k`` of its output as ``split_chunks``
+  cuts it (count, then disperse, like PaSh's split process). The shuffle
+  volume is ``width`` times the map output,
 * sink       -> ``collect_lines`` collects the chunk records and runs the
   aggregator on the driver (plain concatenation); ``read_together`` reads
   several streams in one action, each through its own aggregator,
@@ -47,8 +43,8 @@ runs each stream's chain on its chunk of slice ``k`` in one
 A stream read alone is the same with one input: chunk ``k`` in partition
 ``k``, ``w`` tasks whatever ``defaultParallelism`` is. Streams that have
 passed a shuffle join the read by ``union``, and so do a ``cat``'s inputs,
-each keeping its own tasks. The shuffles of a ``split`` (one or two) are
-the only exchanges. Order never comes from partition order: the sink and
+each keeping its own tasks. A ``split``'s one shuffle is the only
+exchange. Order never comes from partition order: the sink and
 the aggregator of a ``split`` place every record by ``p``. Every action is
 one Spark job, however many shuffles it crosses.
 
@@ -68,8 +64,9 @@ a frame larger than 2 GiB (``FramedSerializer``). An ingest frame is one
 slice, which batches chunk ``k`` of every source shipped together (one
 chunk when a source is shipped alone), so those chunks together must
 pickle to under 2 GiB. After ingest a frame holds one chunk, except that a
-``split``'s tasks may group records after a frame under 64 KiB
-(``AutoBatchedSerializer``). A sink's records together must also stay
+``split``'s shuffle frames together the chunks that one map task sends to
+one range: several only when that task runs several lanes, as for a stream
+that reads one source twice. A sink's records together must also stay
 under ``spark.driver.maxResultSize`` (1 GiB unless the session sets it).
 
 **Session.** The stream needs the session's ``SparkContext``, so it runs
@@ -79,13 +76,13 @@ from __future__ import annotations
 
 import pickle
 import zipimport
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from pyspark import RDD, SparkContext
 from pyspark.sql import SparkSession
 
 from repro.dfg.graph import split_chunks
-from repro.runtime.aggregators import RangeFn
+from repro.runtime.aggregators import RangeFn, whole_range
 
 ChunkFn = Callable[[List[str]], List[str]]
 AggFn = Callable[[List[List[str]]], List[str]]
@@ -155,7 +152,7 @@ def _run_lanes(lanes: Dict[int, List[Tuple[int, List[ChunkFn]]]]):
 
 
 def _to_every_range(width: int):
-    """mapPartitions fn of a range ``split``'s map side: pickle each chunk
+    """mapPartitions fn of a ``split``'s map side: pickle each chunk
     once and key the same bytes by every range id."""
 
     def apply(chunks: Iterable[Chunk]) -> Iterator[Tuple[int, Tuple[int, bytes]]]:
@@ -169,7 +166,7 @@ def _to_every_range(width: int):
 
 
 def _range_task(ranges: RangeFn, n_parts: int, width: int):
-    """mapPartitionsWithIndex fn of a range ``split``: task ``r`` reads every
+    """mapPartitionsWithIndex fn of a ``split``: task ``r`` reads every
     chunk and computes chunk ``r`` of the aggregator's output, which it
     emits even when empty."""
 
@@ -177,18 +174,6 @@ def _range_task(ranges: RangeFn, n_parts: int, width: int):
         _keep_zip_directories()
         chunks = ((p, pickle.loads(blob)) for _, (p, blob) in records)
         yield r, ranges(_parts(chunks, n_parts), r, width)
-
-    return apply
-
-
-def _agg_split(agg: AggFn, n_parts: int, width: int):
-    """mapPartitions fn of a ``split``: the aggregator over all ``n_parts``
-    chunks, re-chunked into ``width`` — one single-partition task, like
-    PaSh's aggregator process piped into its split."""
-
-    def apply(chunks: Iterable[Chunk]) -> Iterator[Chunk]:
-        _keep_zip_directories()
-        return enumerate(split_chunks(agg(_parts(chunks, n_parts)), width))
 
     return apply
 
@@ -218,28 +203,36 @@ def _ship(sources: List[_Source]) -> None:
         src.shipped = (rdd, s)
 
 
-def _records(leaves: List["SparkStream"]) -> RDD:
-    """The chunk records of the ``leaves`` (streams with a shipped source
-    or an RDD) in order, each leaf's chunk ids shifted by the chunks
-    before it, with the pending functions applied. Leaves whose sources
-    share a slice RDD run in one ``mapPartitionsWithIndex`` over it; the
-    others join by ``union``."""
+class _Leaf(NamedTuple):
+    """``n_parts`` consecutive chunks of a stream: the chunk records of
+    ``base``, an RDD or a source still on the driver, with the chunk
+    functions ``pending`` still to run on each."""
+    n_parts: int
+    base: Union[RDD, _Source]
+    pending: Tuple[ChunkFn, ...] = ()
+
+
+def _records(leaves: List[_Leaf]) -> RDD:
+    """The chunk records of the ``leaves`` (their sources shipped) in order,
+    each leaf's chunk ids shifted by the chunks before it, with the pending
+    functions applied. Leaves whose sources share a slice RDD run in one
+    ``mapPartitionsWithIndex`` over it; the others join by ``union``."""
     # slice RDD -> source index in its slices -> (offset, chain) per lane
     lanes: Dict[RDD, Dict[int, List[Tuple[int, List[ChunkFn]]]]] = {}
     rdds: List[RDD] = []
     off = 0
-    for st in leaves:
-        if st._source is not None:
-            slices, s = st._source.shipped
-            lanes.setdefault(slices, {}).setdefault(s, []).append((off, list(st.pending)))
-        elif st.pending or off:
+    for leaf in leaves:
+        if isinstance(leaf.base, _Source):
+            slices, s = leaf.base.shipped
+            lanes.setdefault(slices, {}).setdefault(s, []).append((off, list(leaf.pending)))
+        elif leaf.pending or off:
             # a new p breaks any partitioner, so a union keeps every
             # partition of every input
-            rdds.append(st._rdd.mapPartitions(_apply_chain(list(st.pending), off),
-                                              preservesPartitioning=not off))
+            rdds.append(leaf.base.mapPartitions(_apply_chain(list(leaf.pending), off),
+                                                preservesPartitioning=not off))
         else:
-            rdds.append(st._rdd)
-        off += st.n_parts
+            rdds.append(leaf.base)
+        off += leaf.n_parts
     rdds = [slices.mapPartitionsWithIndex(_run_lanes(by_source))
             for slices, by_source in lanes.items()] + rdds
     return rdds[0] if len(rdds) == 1 else rdds[0].context.union(rdds)
@@ -247,30 +240,13 @@ def _records(leaves: List["SparkStream"]) -> RDD:
 
 class SparkStream:
     """An ordered line stream distributed over ``n_parts`` contiguous
-    chunks, in one of three forms: an RDD of chunk records; a *narrow*
-    stream, still its ingested source on the driver; or the concatenation
-    of ``members`` in these two forms, built when it is read. The first
-    two carry the chunk functions still pending, which fuse into the stage
-    that next reads them."""
+    chunks: its ``leaves`` one after another. A leaf whose base is a source
+    is *narrow*; the chunk functions pending on a leaf fuse into the stage
+    that next reads it."""
 
-    def __init__(self, n_parts: int, *, rdd: Optional[RDD] = None,
-                 source: Optional[_Source] = None,
-                 members: Optional[List["SparkStream"]] = None,
-                 pending: Optional[List[ChunkFn]] = None):
-        assert [rdd, source, members].count(None) == 2
-        self.n_parts = n_parts
-        self._rdd = rdd
-        self._source = source
-        self._members = members
-        self.pending = pending or []
-
-    def _leaves(self) -> List["SparkStream"]:
-        return [self] if self._members is None else self._members
-
-    @staticmethod
-    def _concat(streams: List["SparkStream"]) -> "SparkStream":
-        members = [m for st in streams for m in st._leaves()]
-        return SparkStream(sum(m.n_parts for m in members), members=members)
+    def __init__(self, leaves: List[_Leaf]):
+        self.leaves = leaves
+        self.n_parts = sum(leaf.n_parts for leaf in leaves)
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -280,15 +256,14 @@ class SparkStream:
         ``split_chunks`` cuts them. Lazy: the chunks stay on the driver
         until a ``split`` or a sink needs them, and are then parallelized
         once, chunk ``k`` in partition ``k``."""
-        return SparkStream(width, source=_Source(spark.sparkContext, split_chunks(lines, width)))
+        return SparkStream([_Leaf(width, _Source(spark.sparkContext, split_chunks(lines, width)))])
 
     @property
     def rdd(self) -> RDD:
         """The chunk records with the pending chunk functions applied. The
         sources not shipped yet are shipped here, in one ``parallelize``."""
-        leaves = self._leaves()
-        _ship([st._source for st in leaves if st._source is not None])
-        return _records(leaves)
+        _ship([leaf.base for leaf in self.leaves if isinstance(leaf.base, _Source)])
+        return _records(self.leaves)
 
     # -- structural ops --------------------------------------------------------
     @staticmethod
@@ -300,41 +275,32 @@ class SparkStream:
         assert streams
         if len(streams) == 1:
             return streams[0]
-        joint = SparkStream._concat(streams)
-        for st in joint._members:
-            if st._source is not None:
-                _ship([st._source])
-        return joint
+        leaves = [leaf for st in streams for leaf in st.leaves]
+        for leaf in leaves:
+            if isinstance(leaf.base, _Source):
+                _ship([leaf.base])
+        return SparkStream(leaves)
 
     def split(self, width: int, agg: AggFn = concat,
               ranges: Optional[RangeFn] = None) -> "SparkStream":
         """Run ``agg`` over the ordered chunks and re-chunk its output into
         ``width`` contiguous pieces — PaSh's agg | split process pair — with
-        chunk ``k`` in partition ``k``. Given ``agg``'s range form
-        ``ranges``, every chunk is sent to all ``width`` tasks of one
-        shuffle and task ``k`` computes chunk ``k``. Otherwise ``agg`` runs
-        in one single-partition task behind a stage boundary (so the maps
-        keep their width) and a second shuffle places its chunks."""
-        if ranges is not None:
-            rdd = self.rdd.mapPartitions(_to_every_range(width)) \
-                .partitionBy(width, _chunk_id) \
-                .mapPartitionsWithIndex(_range_task(ranges, self.n_parts, width),
-                                        preservesPartitioning=True)
-            return SparkStream(width, rdd=rdd)
-        rdd = self.rdd.partitionBy(1, _chunk_id) \
-            .mapPartitions(_agg_split(agg, self.n_parts, width)) \
-            .partitionBy(width, _chunk_id)
-        return SparkStream(width, rdd=rdd)
+        chunk ``k`` in partition ``k``. Every chunk is sent to all ``width``
+        tasks of one shuffle, and task ``k`` computes chunk ``k``: with
+        ``agg``'s range form ``ranges`` when given, else from the whole
+        output of ``agg``."""
+        ranges = ranges or whole_range(agg)
+        rdd = self.rdd.mapPartitions(_to_every_range(width)) \
+            .partitionBy(width, _chunk_id) \
+            .mapPartitionsWithIndex(_range_task(ranges, self.n_parts, width),
+                                    preservesPartitioning=True)
+        return SparkStream([_Leaf(width, rdd)])
 
     # -- compute ops -----------------------------------------------------------
     def per_chunk(self, fn: ChunkFn) -> "SparkStream":
         """Run the black-box ``fn`` independently on every chunk — the n
         replicated nodes of transformation T. Lazy and fused."""
-        if self._members is not None:
-            return SparkStream(self.n_parts,
-                               members=[m.per_chunk(fn) for m in self._members])
-        return SparkStream(self.n_parts, rdd=self._rdd, source=self._source,
-                           pending=self.pending + [fn])
+        return SparkStream([leaf._replace(pending=leaf.pending + (fn,)) for leaf in self.leaves])
 
     # -- sinks -----------------------------------------------------------------
     def collect_parts(self) -> List[List[str]]:
@@ -366,5 +332,5 @@ class SparkStream:
                 off += st.n_parts
             return concat(outs)
 
-        SparkStream._concat([st for st, _ in reads]).collect_lines(each)
+        SparkStream([leaf for st, _ in reads for leaf in st.leaves]).collect_lines(each)
         return outs

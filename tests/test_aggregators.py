@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.annotations import resolve_invocation
 from repro.commands import ExecEnv, run_cli
 from repro.compiler.backend_seq import split_chunks
-from repro.runtime.aggregators import AGGREGATORS, aggregate, range_form
+from repro.runtime.aggregators import AGGREGATORS, aggregate, range_form, whole_range
 
 WORDS = ["aa", "ab", "ba", "bb", "Cc", "dd", "e", "é", ""]
 
@@ -159,3 +159,32 @@ def test_only_sort_rerun_has_a_range_form():
     for name, argv in [("uniq", []), ("uniq", ["-c"]), ("head", ["-n", "3"]), ("wc", ["-l"])]:
         res = resolve_invocation(name, argv)
         assert range_form(res.aggregator, res) is None, name
+
+
+# every aggregator, and rerun both with its range form (sort) and without
+ONE_PER_AGGREGATOR = [("sort", ["-rn"]), ("head", ["-n", "3"]), ("uniq", ["-ci"]),
+                      ("wc", ["-lw"]), ("grep", ["-c", "a"]), ("tac", []),
+                      ("bigrams_aux", []), ("trigrams_aux", [])]
+
+
+def test_every_aggregator_is_listed():
+    assert {resolve_invocation(n, a).aggregator for n, a in ONE_PER_AGGREGATOR} \
+        == set(AGGREGATORS)
+
+
+@given(st.lists(st.text(alphabet="abC 1", max_size=6), max_size=40),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=7))
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("name,argv", ONE_PER_AGGREGATOR,
+                         ids=[" ".join([n, *a]) for n, a in ONE_PER_AGGREGATOR])
+def test_ranges_concatenate_to_the_aggregator(name, argv, lines, n_parts, width):
+    """What a ``split``'s ``width`` range tasks compute, in order, is the
+    aggregator's output: sort's range form, and the whole-output one every
+    other aggregator gets."""
+    res = resolve_invocation(name, argv)
+    m_cmd, *m_argv = res.map_argv or [name, *argv]
+    parts = [run_cli(m_cmd, m_argv, c, ExecEnv()) for c in split_chunks(lines, n_parts)]
+    agg = AGGREGATORS[res.aggregator]
+    ranges = range_form(res.aggregator, res) or whole_range(lambda ps: agg(ps, res))
+    got = [ranges(parts, r, width) for r in range(width)]
+    assert [l for rng in got for l in rng] == agg(parts, res)

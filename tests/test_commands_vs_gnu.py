@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.commands import ExecEnv, diffseq, run_cli
+from repro.commands import CommandError, ExecEnv, diffseq, run_cli
+from repro.compiler import compile_script, pash_seq
 
 GNU_ENV = {"LC_ALL": "C", "PATH": "/usr/bin:/bin"}
 
@@ -205,6 +206,35 @@ def test_comm_flag_combos_match_gnu(tmp_path):
     for flags in ([], ["-1"], ["-2"], ["-3"], ["-12"], ["-13"], ["-23"], ["-123"]):
         sh = f"comm {' '.join(flags)} {tmp_path}/a {tmp_path}/b"
         assert run_cli("comm", flags + ["a", "b"], [], env) == gnu(sh, []), flags
+
+
+@pytest.mark.parametrize("args", [[], ["-c"], ["-ci"], ["-d"]], ids=["plain", "c", "ci", "d"])
+@pytest.mark.parametrize("first", ["in.txt", "-"])
+def test_uniq_writes_its_second_operand_like_gnu(tmp_path, args, first):
+    """GNU uniq's second operand is its output file: uniq prints nothing and
+    overwrites that file, so the script is no parallelizable region."""
+    lines = sorted(corpus(12, 150) + [l.upper() for l in corpus(13, 60)], key=str.lower)
+    old = corpus(14, 5)
+    (tmp_path / "in.txt").write_text("".join(l + "\n" for l in lines))
+    (tmp_path / "out.txt").write_text("".join(l + "\n" for l in old))
+    script = " ".join(["uniq", *args, first, "out.txt"])
+    r = subprocess.run(["bash", "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                       input="".join(l + "\n" for l in lines), env=GNU_ENV, check=True)
+    assert r.stdout == ""
+    written = (tmp_path / "out.txt").read_text().split("\n")[:-1]
+    env = ExecEnv(files={"in.txt": lines, "out.txt": old})
+    assert pash_seq(script, env, stdin=lines) == []
+    assert env.files["out.txt"] == written
+    assert [step.kind for step in compile_script(script).steps] == ["opaque"]
+
+
+def test_uniq_rejects_a_third_operand_like_gnu(tmp_path):
+    (tmp_path / "a").write_text("x\n")
+    r = subprocess.run(["uniq", "a", "b", "c"], cwd=tmp_path, capture_output=True,
+                       text=True, env=GNU_ENV)
+    assert r.returncode == 1 and "extra operand 'c'" in r.stderr
+    with pytest.raises(CommandError, match="extra operand 'c'"):
+        run_cli("uniq", ["a", "b", "c"], [], ExecEnv(files={"a": ["x"]}))
 
 
 def test_sort_k_with_separator_matches_gnu():

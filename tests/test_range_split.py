@@ -1,8 +1,9 @@
-"""The range form of sort's aggregator behind a ``split``: ``w`` range tasks
-after one shuffle must give the stream the aggregator's single task gives.
-``pash_spark`` is compared with the transformed graph run sequentially
-(``run_dfg_seq(parallelize(g, w))``, where the aggregator and the split are
-separate nodes) and with GNU under ``LC_ALL=C``."""
+"""The ``split`` behind an aggregator (PaSh's ``agg | split``): ``w`` range
+tasks after one shuffle, each computing its chunk of the aggregator's
+output, from sort's range form or from the whole output of any other
+aggregator. ``pash_spark`` is compared with the transformed graph run
+sequentially (``run_dfg_seq(parallelize(g, w))``, where the aggregator and
+the split are separate nodes) and with GNU under ``LC_ALL=C``."""
 import random
 import subprocess
 
@@ -52,9 +53,9 @@ def _gnu(script, lines, tmp_path):
     return r.stdout.split("\n")[:-1]
 
 
-def _transformed_seq(script, lines):
+def _transformed_seq(script, lines, width=WIDTH):
     (step,) = compile_script(script).steps
-    return run_dfg_seq(parallelize(step.dfg, WIDTH), ExecEnv(files={"in.txt": list(lines)}))
+    return run_dfg_seq(parallelize(step.dfg, width), ExecEnv(files={"in.txt": list(lines)}))
 
 
 @pytest.mark.parametrize("flags", FLAGS, ids=[f or "plain" for f in FLAGS])
@@ -66,3 +67,32 @@ def test_range_split_matches_seq_and_gnu(spark, tmp_path, name, template, flags)
     out = pash_spark(spark, script, ExecEnv(files={"in.txt": list(lines)}), width=WIDTH)
     assert out == _transformed_seq(script, lines)
     assert out == _gnu(script, lines, tmp_path)
+
+
+# every other aggregator, each feeding a split into a stateless map
+AGGREGATED = ["uniq", "uniq -c", "uniq -ci", "head -n 7", "tail -n 7", "cat -n", "nl",
+              "tac", "wc -l", "grep -c a"]
+AGG_CASES = [(name, f"cat in.txt | grep -v '#' | {agg} | tr a-z A-Z")
+             for agg in AGGREGATED for name in INPUTS]
+
+
+@pytest.mark.parametrize("width", [2, 3, 7])
+@pytest.mark.parametrize("name,script", AGG_CASES, ids=[f"{n}-{s.split(' | ')[2]}"
+                                                        for n, s in AGG_CASES])
+def test_split_after_every_aggregator_matches_seq_and_gnu(spark, tmp_path, name, script, width):
+    lines = INPUTS[name]
+    assert "split" in {n.kind for n in parallelize(
+        compile_script(script).steps[0].dfg, width).nodes.values()}
+    out = pash_spark(spark, script, ExecEnv(files={"in.txt": list(lines)}), width=width)
+    assert out == _transformed_seq(script, lines, width)
+    assert out == _gnu(script, lines, tmp_path)
+
+
+@pytest.mark.parametrize("width", [2, 3, 7])
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_split_after_the_bigram_join_matches_seq(spark, name, width):
+    # bigrams_aux is not on PATH, so only the transformed graph is compared
+    script = "cat in.txt | grep -v '#' | bigrams_aux | sort"
+    lines = INPUTS[name]
+    out = pash_spark(spark, script, ExecEnv(files={"in.txt": list(lines)}), width=width)
+    assert out == _transformed_seq(script, lines, width)

@@ -65,7 +65,8 @@ class TestStream:
         st = SparkStream.from_lines(spark, lines, 3)
         out = st.per_chunk(lambda ls: [l.upper() for l in ls]) \
                 .per_chunk(lambda ls: [l + "!" for l in ls])
-        assert len(out.pending) == 2  # fused, not yet materialized
+        (leaf,) = out.leaves
+        assert len(leaf.pending) == 2  # fused, not yet materialized
         assert out.collect_lines() == [l.upper() + "!" for l in lines]
 
     def test_aggregate_sees_ordered_parts(self, spark):
@@ -75,7 +76,7 @@ class TestStream:
         lines = [str(i) for i in range(30)]
         st = SparkStream.from_lines(spark, lines, 3)
         assert st.collect_lines(fn) == ["3:0:29"]
-        # the same aggregator in the single task of a split, on the executor
+        # the same aggregator in every task of a split, on the executors
         assert st.split(2, fn).collect_lines() == ["3:0:29"]
 
     def test_split_of_split(self, spark):
@@ -437,8 +438,9 @@ def _plan(spark, script, env):
     # map | sort's agg + split in 4 range tasks, with the map after the
     # split, collected: one job
     (SORT_SORT, 1, [4, 4]),
-    # an aggregator without a range form runs in the split's one task
-    ("cat in.txt | uniq -c | sort -rn", 1, [4, 1, 4]),
+    # an aggregator without a range form runs whole in each of the split's
+    # 4 tasks, after the one shuffle
+    ("cat in.txt | uniq -c | sort -rn", 1, [4, 4]),
     ("cat in.txt | sort", 1, [4]),
     # both input regions read in one job: task k runs lane k of each
     ("diff <(cat in.txt | sort) <(cat in2.txt | sort)", 1, [4]),

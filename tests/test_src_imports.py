@@ -1,0 +1,28 @@
+"""``src/`` holds only the system: its modules import nothing at top level
+beyond the standard library, PySpark (with py4j), numpy and ``repro``
+itself. Read from the source's import statements; nothing is imported."""
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ALLOWED = set(sys.stdlib_module_names) | {"pyspark", "py4j", "numpy", "repro"}
+
+
+def _imported(tree: ast.AST):
+    """The top-level module name of every absolute import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_src_imports_only_the_standard_library_pyspark_and_numpy():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    outside = {f"{path.relative_to(SRC)}: {name}"
+               for path in files
+               for name in _imported(ast.parse(path.read_text(), str(path)))
+               if name not in ALLOWED}
+    assert not outside, sorted(outside)
