@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Dict, List
 
-from _common import get_spark, print_table
+from _common import NPROC, get_spark, print_table
 
 # trim adapters (dominant cost), keep long reads, tabulate 8-mers
 BIO_SCRIPT = (
@@ -29,7 +29,7 @@ BOTTLENECK_STAGE = "cat reads.txt | cutadapt_sim"
 BIO_TAIL = "cat trimmed.txt | grep -E \".{30,}\" | cut -c 1-8 | sort | uniq -c | sort -rn"
 
 
-def run(spark, *, n_reads: int = 300_000, width: int = 16) -> List[Dict]:
+def run(spark, *, n_reads: int = 300_000, width: int = NPROC) -> List[Dict]:
     from repro.commands.base import ExecEnv
     from repro.compiler import pash_seq, pash_spark
     from repro.runtime.naive_parallel import diff_fraction, naive_parallel
@@ -81,7 +81,7 @@ def run(spark, *, n_reads: int = 300_000, width: int = 16) -> List[Dict]:
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 300_000
-    width = int(sys.argv[2]) if len(sys.argv) > 2 else 16
+    width = int(sys.argv[2]) if len(sys.argv) > 2 else NPROC
     spark = get_spark("micro-parallel")
     spark.sparkContext.setLogLevel("ERROR")
     print_table(run(spark, n_reads=n, width=width), "§6.5 GNU parallel comparison")

@@ -6,22 +6,25 @@ continues, which is also what happens on the benchmarks' success paths).
 It doubles as the sequential-baseline timer and as the correctness oracle
 for the parallel backends.
 
+``run_steps`` is every backend's loop over a script's steps: the backend
+runs each DFG, the AST interpreter here each opaque step.
+
 ``run_dfg_seq`` executes *any* DFG — original or transformed — on Python
 line lists; the metamorphic tests assert ``run_dfg_seq(parallelize(g, w))
 == run_dfg_seq(g)`` for every benchmark script and width.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.annotations.model import Resolved
 from repro.commands.base import CommandError, ExecEnv, run_cli
 from repro.dfg.graph import DFG, Edge, Node, split_chunks
 from repro.runtime.aggregators import aggregate
-from repro.shell.ast import AndOr, ForLoop, Pipeline, Script, SimpleCommand, Subshell
+from repro.shell.ast import AndOr, Pipeline, Script, SimpleCommand, Subshell, Word
 from repro.shell.expand import expand_word
 
-from .frontend import CompiledScript, Step, compile_script
+from .frontend import CompiledScript, assign, compile_script
 
 
 def exec_node(node: Node, in_streams: List[List[str]],
@@ -117,62 +120,63 @@ def run_dfg_seq(g: DFG, env: ExecEnv, stdin: Optional[List[str]] = None,
 # --------------------------------------------------------------------------
 
 
+def _expand(w: Word, shell_env: Dict[str, str]) -> str:
+    t = expand_word(w, shell_env)
+    if t is None:
+        raise CommandError(f"cannot expand {w!r} at runtime")
+    return t
+
+
 def _run_simple(cmd: SimpleCommand, stdin: List[str], env: ExecEnv,
-                shell_env: Dict[str, str]) -> Tuple[List[str], Optional[str]]:
-    words = []
-    for w in cmd.words:
-        t = expand_word(w, shell_env)
-        if t is None:
-            raise CommandError(f"cannot expand {w!r} at runtime")
-        words.append(t)
-    in_file = out_file = None
+                shell_env: Dict[str, str]) -> List[str]:
+    if not cmd.words:
+        assign(cmd, shell_env)
+        return []
+    words = [_expand(w, shell_env) for w in cmd.words]
+    out_file = append = None
     for r in cmd.redirects:
-        t = expand_word(r.target, shell_env)
+        t = _expand(r.target, shell_env)
         if r.op == "<":
-            in_file = t
-        elif r.op == ">":
-            out_file = t
-    if in_file:
-        stdin = env.read(in_file)
+            stdin = env.read(t)
+        else:
+            out_file, append = t, r.op == ">>"
     out = run_cli(words[0], words[1:], stdin, env)
-    return out, out_file
+    if out_file is None:
+        return out
+    env.files[out_file] = (env.files.get(out_file, []) if append else []) + out
+    return []
 
 
 def _run_ast(node, stdin: List[str], env: ExecEnv, shell_env: Dict[str, str]) -> List[str]:
     if isinstance(node, Pipeline):
         cur = stdin
-        for i, c in enumerate(node.commands):
-            if isinstance(c, Subshell):
-                cur = _run_ast(c.body, cur, env, shell_env)
-                continue
-            cur, out_file = _run_simple(c, cur, env, shell_env)
-            if out_file:
-                env.files[out_file] = cur
-                cur = []
+        for c in node.commands:
+            run = _run_simple if isinstance(c, SimpleCommand) else _run_ast
+            cur = run(c, cur, env, shell_env)
         return cur
-    if isinstance(node, AndOr):  # no exit codes: run all parts in order
+    if isinstance(node, Subshell):
+        return _run_ast(node.body, stdin, env, dict(shell_env))
+    if isinstance(node, (AndOr, Script)):  # no exit codes: run all parts in order
         out: List[str] = []
-        for p in node.parts:
+        for p in node.parts if isinstance(node, AndOr) else node.items:
             out.extend(_run_ast(p, stdin, env, shell_env))
         return out
-    if isinstance(node, Script):
-        out = []
-        for item in node.items:
-            out.extend(_run_ast(item, stdin, env, shell_env))
-        return out
-    if isinstance(node, ForLoop):
-        from repro.shell.expand import brace_expand
-
-        out = []
-        for w in node.items:
-            t = expand_word(w, shell_env)
-            if t is None:
-                raise CommandError("cannot expand for items")
-            for v in brace_expand(t):
-                shell_env[node.var] = v
-                out.extend(_run_ast(node.body, stdin, env, shell_env))
-        return out
     raise CommandError(f"cannot interpret {type(node).__name__}")
+
+
+def run_steps(cs: CompiledScript, env: ExecEnv, run_dfg: Callable[[DFG], List[str]],
+              stdin: Optional[List[str]] = None) -> List[str]:
+    """Run a compiled script's steps in order, every backend's one loop:
+    ``run_dfg(g)`` executes each DFG step and the AST interpreter each
+    opaque step, on a copy of the variables at its position. Output is the
+    concatenated stdout of all steps; file sinks land in ``env.files``."""
+    out: List[str] = []
+    for step in cs.steps:
+        if step.kind == "dfg":
+            out.extend(run_dfg(step.dfg))
+        else:
+            out.extend(_run_ast(step.ast, list(stdin or []), env, dict(step.env)))
+    return out
 
 
 def run_seq(script, env: ExecEnv, *, stdin: Optional[List[str]] = None,
@@ -181,15 +185,7 @@ def run_seq(script, env: ExecEnv, *, stdin: Optional[List[str]] = None,
 
     DFG steps are executed by the DFG interpreter on the *untransformed*
     graph (provably identical to direct interpretation); opaque steps go
-    through the AST interpreter. Output is the concatenated stdout of all
-    steps; file sinks land in ``env.files``.
+    through the AST interpreter (``run_steps``).
     """
     cs = script if isinstance(script, CompiledScript) else compile_script(script, shell_env)
-    out: List[str] = []
-    for step in cs.steps:
-        if step.kind == "dfg":
-            r = run_dfg_seq(step.dfg, env, stdin=stdin)
-            out.extend(r)
-        else:
-            out.extend(_run_ast(step.ast, list(stdin or []), env, cs.env))
-    return out
+    return run_steps(cs, env, lambda g: run_dfg_seq(g, env, stdin=stdin), stdin)

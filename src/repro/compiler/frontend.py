@@ -9,7 +9,8 @@ regions; all other constructs — ``;``/newline sequencing, ``&&``/``||``,
 Conservatism, as in the paper: a word that cannot be fully expanded
 (unknown variable, command substitution), an unannotated command, or one
 whose annotation resolves to ⓔ makes the *whole pipeline* an opaque step
-executed by the sequential interpreter, never parallelized.
+executed by the sequential interpreter, never parallelized, with a copy
+of the shell variables at its position in the script.
 """
 from __future__ import annotations
 
@@ -39,12 +40,23 @@ class Step:
     kind: str  # "dfg" | "opaque"
     dfg: Optional[DFG] = None
     ast: object = None
+    env: Dict[str, str] = field(default_factory=dict)  # opaque: variables here
 
 
 @dataclass
 class CompiledScript:
     steps: List[Step] = field(default_factory=list)
-    env: Dict[str, str] = field(default_factory=dict)
+
+
+def assign(cmd: SimpleCommand, env: Dict[str, str]) -> None:
+    """Apply the bare assignments ``X=v ...`` of ``cmd`` to ``env``: a
+    value that cannot be expanded poisons (unsets) the variable."""
+    for name, w in cmd.assigns:
+        val = expand_word(w, env)
+        if val is not None:
+            env[name] = val
+        else:
+            env.pop(name, None)
 
 
 class _RegionBuilder:
@@ -185,12 +197,12 @@ def compile_script(src_or_ast: Union[str, Script], env: Optional[Dict[str, str]]
     """Translate a script into barrier-separated steps (§4.1's translation
     pass, with ``for`` loops over statically-known lists unrolled)."""
     ast = parse(src_or_ast) if isinstance(src_or_ast, str) else src_or_ast
-    cs = CompiledScript(env=dict(env or {}))
-    _compile_into(ast, cs)
+    cs = CompiledScript()
+    _compile_into(ast, cs, dict(env or {}))
     return cs
 
 
-def _compile_into(script: Script, cs: CompiledScript) -> None:
+def _compile_into(script: Script, cs: CompiledScript, env: Dict[str, str]) -> None:
     for item in script.items:
         # the grammar wraps every command — including for/subshell — in a
         # Pipeline; unwrap singletons so compound commands are handled
@@ -202,32 +214,28 @@ def _compile_into(script: Script, cs: CompiledScript) -> None:
             # a pipeline of one bare assignment updates the environment
             if (len(item.commands) == 1 and isinstance(item.commands[0], SimpleCommand)
                     and not item.commands[0].words and item.commands[0].assigns):
-                for name, w in item.commands[0].assigns:
-                    val = expand_word(w, cs.env)
-                    if val is not None:
-                        cs.env[name] = val
-                    else:
-                        cs.env.pop(name, None)  # unknown: poison the variable
+                assign(item.commands[0], env)
                 continue
             try:
-                rb = _RegionBuilder(dict(cs.env))
+                rb = _RegionBuilder(env)
                 rb.build_pipeline(item)
                 cs.steps.append(Step("dfg", dfg=rb.g))
             except _NotConvertible:
-                cs.steps.append(Step("opaque", ast=item))
+                cs.steps.append(Step("opaque", ast=item, env=dict(env)))
         elif isinstance(item, AndOr):
             # logical operators are barriers: each side is its own region
             for part in item.parts:
-                _compile_into(Script((part,), (False,)), cs)
+                _compile_into(Script((part,), (False,)), cs, env)
         elif isinstance(item, ForLoop):
-            values = _expand_for_items(item.items, cs.env)
+            values = _expand_for_items(item.items, env)
             if values is None:
-                cs.steps.append(Step("opaque", ast=item))
+                cs.steps.append(Step("opaque", ast=item, env=dict(env)))
                 continue
             for v in values:
-                cs.env[item.var] = v
-                _compile_into(item.body, cs)
+                env[item.var] = v
+                _compile_into(item.body, cs, env)
         elif isinstance(item, Subshell):
-            _compile_into(item.body, cs)
+            # a subshell's assignments do not outlive it
+            _compile_into(item.body, cs, dict(env))
         else:
-            cs.steps.append(Step("opaque", ast=item))
+            cs.steps.append(Step("opaque", ast=item, env=dict(env)))

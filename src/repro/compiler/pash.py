@@ -3,9 +3,10 @@
 ``pash_seq``   — the user's script, sequential shell semantics (baseline).
 ``pash_spark`` — the PaSh pipeline of Fig. 1: compile to DFGs, apply the
 parallelizing transformations up to ``--width``, execute on the Spark
-substrate; opaque (non-dataflow) fragments run through the sequential
-interpreter unchanged, exactly like PaSh hands untranslated AST subtrees
-back to the shell.
+substrate. Both run a script's steps through ``backend_seq.run_steps``,
+which passes each opaque (non-dataflow) fragment to the sequential
+interpreter with the shell variables at its position, as PaSh hands
+untranslated AST subtrees back to the shell.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pyspark.sql import SparkSession
 
 from repro.commands.base import ExecEnv
 
-from .backend_seq import _run_ast, run_seq
+from .backend_seq import run_seq, run_steps
 from .backend_spark import run_dfg_spark
 from .frontend import CompiledScript, compile_script
 
@@ -36,14 +37,7 @@ def pash_spark(
     shell_env: Optional[Dict[str, str]] = None,
 ) -> List[str]:
     cs = script if isinstance(script, CompiledScript) else compile_script(script, shell_env)
-    out: List[str] = []
-    for step in cs.steps:
-        if step.kind == "dfg":
-            # caches nothing and sets no conf: repeated calls leave the
-            # session as they found it, the caller's cache included
-            out.extend(run_dfg_spark(
-                spark, step.dfg, env, width=width,
-                enable_split=enable_split, stdin=stdin))
-        else:
-            out.extend(_run_ast(step.ast, list(stdin or []), env, cs.env))
-    return out
+    # run_dfg_spark caches nothing and sets no conf: repeated calls leave
+    # the session as they found it, the caller's cache included
+    return run_steps(cs, env, lambda g: run_dfg_spark(
+        spark, g, env, width=width, enable_split=enable_split, stdin=stdin), stdin)

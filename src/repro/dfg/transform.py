@@ -234,22 +234,14 @@ def parallelize(
                        outputs=[o], via_stdin=n.via_stdin)
             out_b = [o]
 
-        # register output bundles; a node in our model has one stdout edge
+        # register output bundles; a node in our model has one stdout edge.
+        # A file sink is always a graph output: the frontend allows ``>``
+        # only on a pipeline's last command.
         for out_eid in n.outputs:
             orig_out = src.edges[out_eid]
-            consumer = src.nodes[orig_out.dst] if orig_out.dst is not None else None
-            feeds_static = consumer is not None and out_eid in consumer.statics
-            if orig_out.dst is None or orig_out.kind == "file":
-                # graph output or file sink: merge to one edge, keep identity
-                merged = merge(out_b, kind=orig_out.kind, label=orig_out.label,
-                               output=orig_out.dst is None)
-                if orig_out.kind == "file" and orig_out.dst is not None:
-                    bundle[out_eid] = [merged]
-                if feeds_static:
-                    static_new[out_eid] = merged
-                elif orig_out.dst is not None:
-                    bundle[out_eid] = [merged]
-            elif feeds_static:
+            if orig_out.dst is None:  # merge to one edge, keep identity
+                merge(out_b, kind=orig_out.kind, label=orig_out.label, output=True)
+            elif out_eid in src.nodes[orig_out.dst].statics:
                 static_new[out_eid] = merge(out_b)
             else:
                 bundle[out_eid] = out_b

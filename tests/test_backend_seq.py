@@ -52,10 +52,12 @@ class TestPipelines:
         assert pash_seq("sort <(cat a) <(cat b)", env) == ["1", "2", "3"]
 
     def test_opaque_fragment_still_runs(self):
-        # unknown variable forces the opaque interpreter at compile time
-        # but the variable is resolvable at run time via shell_env
+        # a subshell in a pipeline forces the opaque interpreter, which
+        # reads F from the variables the caller passed in shell_env
+        script = "(cat $F) | sort"
+        assert [s.kind for s in compile_script(script, {"F": "f"}).steps] == ["opaque"]
         env = env_with(f=["b", "a"])
-        out = run_seq("cat $F | sort", env, shell_env={"F": "f"})
+        out = run_seq(script, env, shell_env={"F": "f"})
         assert out == ["a", "b"]
 
     def test_comm_static(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.commands.base import ExecEnv
 from repro.compiler import compile_script
-from repro.compiler.backend_seq import _run_ast, run_dfg_seq, run_seq
+from repro.compiler.backend_seq import run_dfg_seq, run_seq, run_steps
 from repro.dfg.transform import parallelize
 from repro.workloads import ONELINERS, UNIX50
 from repro.workloads import noaa, webindex
@@ -17,13 +17,7 @@ def fresh(env):
 
 
 def run_transformed(cs, env, width, **kw):
-    out = []
-    for s in cs.steps:
-        if s.kind == "dfg":
-            out.extend(run_dfg_seq(parallelize(s.dfg, width, **kw), env))
-        else:
-            out.extend(_run_ast(s.ast, [], env, cs.env))
-    return out
+    return run_steps(cs, env, lambda g: run_dfg_seq(parallelize(g, width, **kw), env))
 
 
 ALL = list(ONELINERS.items()) + list(UNIX50.items())
