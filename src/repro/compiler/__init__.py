@@ -1,7 +1,6 @@
 """PaSh compiler: frontend (AST -> dataflow regions -> DFG, §4.1),
-sequential backend (reference semantics), Spark backend (the parallel
-execution substrate), and a display backend emitting the Fig. 3-style
-parallel shell script."""
+sequential backend (reference semantics) and Spark backend (the parallel
+execution substrate)."""
 from .frontend import CompiledScript, Step, compile_script
 from .backend_seq import run_seq, run_dfg_seq
 from .pash import pash_spark, pash_seq

@@ -7,7 +7,8 @@ It doubles as the sequential-baseline timer and as the correctness oracle
 for the parallel backends.
 
 ``run_steps`` is every backend's loop over a script's steps: the backend
-runs each DFG, the AST interpreter here each opaque step.
+runs each DFG, ``_run_pipeline`` each opaque pipeline, whose subshells,
+``for`` loops and ``<(…)`` bodies the frontend compiles at their place.
 
 ``run_dfg_seq`` executes *any* DFG — original or transformed — on Python
 line lists; the metamorphic tests assert ``run_dfg_seq(parallelize(g, w))
@@ -15,16 +16,20 @@ line lists; the metamorphic tests assert ``run_dfg_seq(parallelize(g, w))
 """
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import Callable, Dict, List, Optional
 
 from repro.annotations.model import Resolved
 from repro.commands.base import CommandError, ExecEnv, run_cli
 from repro.dfg.graph import DFG, Edge, Node, split_chunks
 from repro.runtime.aggregators import aggregate
-from repro.shell.ast import AndOr, Pipeline, Script, SimpleCommand, Subshell, Word
+from repro.shell.ast import Pipeline, Script, SimpleCommand, Word
 from repro.shell.expand import expand_word
 
 from .frontend import CompiledScript, assign, compile_script
+
+# a backend's executor of one DFG step on the script's stdin
+RunDfg = Callable[[DFG, List[str]], List[str]]
 
 
 def exec_node(node: Node, in_streams: List[List[str]],
@@ -116,7 +121,7 @@ def run_dfg_seq(g: DFG, env: ExecEnv, stdin: Optional[List[str]] = None,
 
 
 # --------------------------------------------------------------------------
-# opaque-step interpreter (plain sequential shell semantics)
+# opaque pipelines (plain sequential shell semantics)
 # --------------------------------------------------------------------------
 
 
@@ -128,11 +133,19 @@ def _expand(w: Word, shell_env: Dict[str, str]) -> str:
 
 
 def _run_simple(cmd: SimpleCommand, stdin: List[str], env: ExecEnv,
-                shell_env: Dict[str, str]) -> List[str]:
+                shell_env: Dict[str, str], run_dfg: RunDfg) -> List[str]:
     if not cmd.words:
         assign(cmd, shell_env)
         return []
-    words = [_expand(w, shell_env) for w in cmd.words]
+    words: List[str] = []
+    procsubs: Dict[str, List[str]] = {}  # operand name -> the <(…) body's output
+    for w in cmd.words:
+        if w.has_procsub():  # named as bash names them: /dev/fd/63, 62, …
+            words.append(f"/dev/fd/{63 - len(procsubs)}")
+            body = compile_script(w.segments[0][1].body, shell_env)
+            procsubs[words[-1]] = run_steps(body, env, run_dfg)
+        else:
+            words.append(_expand(w, shell_env))
     out_file = append = None
     for r in cmd.redirects:
         t = _expand(r.target, shell_env)
@@ -140,52 +153,55 @@ def _run_simple(cmd: SimpleCommand, stdin: List[str], env: ExecEnv,
             stdin = env.read(t)
         else:
             out_file, append = t, r.op == ">>"
-    out = run_cli(words[0], words[1:], stdin, env)
+    # the command reads its <(…) operands, and what it writes lands in env.files
+    cmd_env = ExecEnv(ChainMap(env.files, procsubs), env.ftypes) if procsubs else env
+    out = run_cli(words[0], words[1:], stdin, cmd_env)
     if out_file is None:
         return out
     env.files[out_file] = (env.files.get(out_file, []) if append else []) + out
     return []
 
 
-def _run_ast(node, stdin: List[str], env: ExecEnv, shell_env: Dict[str, str]) -> List[str]:
-    if isinstance(node, Pipeline):
-        cur = stdin
-        for c in node.commands:
-            run = _run_simple if isinstance(c, SimpleCommand) else _run_ast
-            cur = run(c, cur, env, shell_env)
-        return cur
-    if isinstance(node, Subshell):
-        return _run_ast(node.body, stdin, env, dict(shell_env))
-    if isinstance(node, (AndOr, Script)):  # no exit codes: run all parts in order
-        out: List[str] = []
-        for p in node.parts if isinstance(node, AndOr) else node.items:
-            out.extend(_run_ast(p, stdin, env, shell_env))
-        return out
-    raise CommandError(f"cannot interpret {type(node).__name__}")
+def _run_pipeline(pipe: Pipeline, stdin: List[str], env: ExecEnv,
+                  shell_env: Dict[str, str], run_dfg: RunDfg) -> List[str]:
+    """Run an opaque pipeline: each simple command here, each subshell or
+    ``for`` compiled at its place and run through ``run_steps``."""
+    for c in pipe.commands:
+        if isinstance(c, SimpleCommand):
+            # a copy: a subshell that reads it empties it, and curl
+            # returns the downloaded file's own list
+            stdin = list(_run_simple(c, stdin, env, shell_env, run_dfg))
+        else:
+            body = compile_script(Script((Pipeline((c,)),), (False,)), shell_env)
+            stdin = run_steps(body, env, run_dfg, stdin)
+    return stdin
 
 
-def run_steps(cs: CompiledScript, env: ExecEnv, run_dfg: Callable[[DFG], List[str]],
+def run_steps(cs: CompiledScript, env: ExecEnv, run_dfg: RunDfg,
               stdin: Optional[List[str]] = None) -> List[str]:
     """Run a compiled script's steps in order, every backend's one loop:
-    ``run_dfg(g)`` executes each DFG step and the AST interpreter each
-    opaque step, on a copy of the variables at its position. Output is the
+    ``run_dfg(g, stdin)`` executes each DFG step, ``_run_pipeline`` each
+    opaque pipeline on a copy of the variables at its position. ``stdin``
+    is the script's one stream, read in place: a DFG step that reads
+    ``<stdin>`` empties it, so later steps read EOF. Output is the
     concatenated stdout of all steps; file sinks land in ``env.files``."""
+    stdin = [] if stdin is None else stdin
     out: List[str] = []
     for step in cs.steps:
         if step.kind == "dfg":
-            out.extend(run_dfg(step.dfg))
-        else:
-            out.extend(_run_ast(step.ast, list(stdin or []), env, dict(step.env)))
+            out.extend(run_dfg(step.dfg, stdin))
+            if any(e.label == "<stdin>" for e in step.dfg.edges.values()):
+                stdin.clear()
+        elif isinstance(step.ast, Pipeline):
+            out.extend(_run_pipeline(step.ast, stdin, env, dict(step.env), run_dfg))
+        else:  # a for whose items do not expand: compiling it again gives this step
+            raise CommandError("cannot interpret ForLoop")
     return out
 
 
 def run_seq(script, env: ExecEnv, *, stdin: Optional[List[str]] = None,
             shell_env: Optional[Dict[str, str]] = None) -> List[str]:
-    """Run a script (source text or CompiledScript) sequentially.
-
-    DFG steps are executed by the DFG interpreter on the *untransformed*
-    graph (provably identical to direct interpretation); opaque steps go
-    through the AST interpreter (``run_steps``).
-    """
+    """Run a script (source text or CompiledScript) sequentially: each DFG
+    step on the *untransformed* graph, through ``run_steps``."""
     cs = script if isinstance(script, CompiledScript) else compile_script(script, shell_env)
-    return run_steps(cs, env, lambda g: run_dfg_seq(g, env, stdin=stdin), stdin)
+    return run_steps(cs, env, lambda g, sin: run_dfg_seq(g, env, sin), list(stdin or []))

@@ -7,10 +7,13 @@ regions; all other constructs — ``;``/newline sequencing, ``&&``/``||``,
 (§4.1: "all other operators represent barrier constructs").
 
 Conservatism, as in the paper: a word that cannot be fully expanded
-(unknown variable, command substitution), an unannotated command, or one
-whose annotation resolves to ⓔ makes the *whole pipeline* an opaque step
-executed by the sequential interpreter, never parallelized, with a copy
-of the shell variables at its position in the script.
+(unknown variable, command substitution), an unannotated command, one
+whose annotation resolves to ⓔ, or a subshell or ``for`` inside a
+pipeline makes the *whole pipeline* an opaque step, with a copy of the
+shell variables at its position in the script. The backend runs its
+simple commands one by one and compiles each compound element here, at
+its place; a ``for`` whose items do not expand is the only other opaque
+step.
 """
 from __future__ import annotations
 
@@ -35,7 +38,8 @@ from repro.shell.parser import parse
 
 @dataclass
 class Step:
-    """One barrier-separated unit: a DFG region or an opaque AST fragment."""
+    """One barrier-separated unit: a DFG region, or an opaque pipeline or
+    ``for``."""
 
     kind: str  # "dfg" | "opaque"
     dfg: Optional[DFG] = None
@@ -237,5 +241,3 @@ def _compile_into(script: Script, cs: CompiledScript, env: Dict[str, str]) -> No
         elif isinstance(item, Subshell):
             # a subshell's assignments do not outlive it
             _compile_into(item.body, cs, dict(env))
-        else:
-            cs.steps.append(Step("opaque", ast=item, env=dict(env)))

@@ -3,10 +3,11 @@
 ``pash_seq``   — the user's script, sequential shell semantics (baseline).
 ``pash_spark`` — the PaSh pipeline of Fig. 1: compile to DFGs, apply the
 parallelizing transformations up to ``--width``, execute on the Spark
-substrate. Both run a script's steps through ``backend_seq.run_steps``,
-which passes each opaque (non-dataflow) fragment to the sequential
-interpreter with the shell variables at its position, as PaSh hands
-untranslated AST subtrees back to the shell.
+substrate. Both run a script's steps, on one copy of the caller's
+``stdin``, through ``backend_seq.run_steps``, which runs each opaque
+pipeline with the shell variables at its position, as PaSh hands
+untranslated AST subtrees back to the shell. A region inside an opaque
+subshell runs on the same backend as any other.
 """
 from __future__ import annotations
 
@@ -39,5 +40,5 @@ def pash_spark(
     cs = script if isinstance(script, CompiledScript) else compile_script(script, shell_env)
     # run_dfg_spark caches nothing and sets no conf: repeated calls leave
     # the session as they found it, the caller's cache included
-    return run_steps(cs, env, lambda g: run_dfg_spark(
-        spark, g, env, width=width, enable_split=enable_split, stdin=stdin), stdin)
+    return run_steps(cs, env, lambda g, sin: run_dfg_spark(
+        spark, g, env, width=width, enable_split=enable_split, stdin=sin), list(stdin or []))

@@ -92,25 +92,3 @@ class TestSplitChunks:
 
     def test_empty(self):
         assert split_chunks([], 3) == [[], [], []]
-
-
-class TestDisplayBackend:
-    def test_emit_script_shape(self):
-        from repro.compiler.backend_script import emit_script
-        from repro.dfg.transform import parallelize
-
-        g = compile_script("cat in.txt | sort | sort -r").steps[0].dfg
-        text = emit_script(parallelize(g, 2))
-        assert "mkfifo" in text
-        assert "eager" in text
-        assert "split" in text
-        assert "agg:sort" in text
-        assert text.strip().endswith("kill -SIGPIPE")
-
-    def test_emit_script_chunked_inputs(self):
-        from repro.compiler.backend_script import emit_script
-        from repro.dfg.transform import parallelize
-
-        g = compile_script("cat in.txt | grep a").steps[0].dfg
-        text = emit_script(parallelize(g, 2))
-        assert "in.txt[0/2]" in text and "in.txt[1/2]" in text

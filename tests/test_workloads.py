@@ -17,7 +17,7 @@ def fresh(env):
 
 
 def run_transformed(cs, env, width, **kw):
-    return run_steps(cs, env, lambda g: run_dfg_seq(parallelize(g, width, **kw), env))
+    return run_steps(cs, env, lambda g, stdin: run_dfg_seq(parallelize(g, width, **kw), env, stdin))
 
 
 ALL = list(ONELINERS.items()) + list(UNIX50.items())
