@@ -100,9 +100,11 @@ LIBRARY: Dict[str, Dict] = {
         "cases": [
             # a second operand is the file uniq writes its output to
             {"predicate": _rx("args[1]", ""), "class": E},
+            # -d, with -c too: a line seen once in each of two chunks is repeated,
+            # but each chunk's map drops it
+            {"predicate": _ex("-d"), "class": N, "inputs": ["args"], "outputs": ["stdout"]},
             {"predicate": _ex("-c"), "class": P, "inputs": ["args"],
              "outputs": ["stdout"], "aggregator": "uniq_c"},
-            {"predicate": _ex("-d"), "class": N, "inputs": ["args"], "outputs": ["stdout"]},
             {"predicate": "default", "class": P, "inputs": ["args"],
              "outputs": ["stdout"], "aggregator": "rerun"},
         ],

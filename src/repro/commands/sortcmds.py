@@ -14,6 +14,7 @@ under ``LC_ALL=C``.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from typing import Callable, List, Tuple
 
@@ -162,19 +163,10 @@ def uniq(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
     if len(operands) > 2:
         raise CommandError(f"uniq: extra operand '{operands[2]}'")
     lines = stdin if operands[:1] in ([], ["-"]) else env.read(operands[0])
-    groups: List[Tuple[str, int]] = []
-    fold = fold_case if opts.get("i") else str
-    for l in lines:
-        if groups and fold(groups[-1][0]) == fold(l):
-            groups[-1] = (groups[-1][0], groups[-1][1] + 1)
-        else:
-            groups.append((l, 1))
-    if opts.get("c"):
-        out = [f"{n:7d} {l}" for l, n in groups]
-    elif opts.get("d"):
-        out = [l for l, n in groups if n > 1]
-    else:
-        out = [l for l, _ in groups]
+    runs = [list(run) for _, run in itertools.groupby(lines, fold_case if opts.get("i") else None)]
+    if opts.get("d"):
+        runs = [run for run in runs if len(run) > 1]
+    out = [f"{len(run):7d} {run[0]}" for run in runs] if opts.get("c") else [run[0] for run in runs]
     if operands[1:] in ([], ["-"]):
         return out
     env.files[operands[1]] = out  # the second operand is the output file

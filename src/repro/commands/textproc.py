@@ -1,16 +1,15 @@
 """Line-processing commands: cat, grep, tr, cut, sed, head, tail, tac, col.
 
-GNU semantics under ``LC_ALL=C``; deviations are noted per command. The
-``tr`` implementation is *line-based* (each input line is transformed
-independently; outputs containing ``\\n`` fan out into multiple lines, and
-empty fragments are dropped when newlines are squeezed). For the pipeline
-shapes in the paper's benchmarks this is byte-identical to GNU tr — the
+GNU semantics under ``LC_ALL=C``; deviations are noted per command. ``tr``
+keeps every line end: only a character mapped to ``\\n`` starts a line, and
+a squeezed ``\\n`` drops empty lines (see ``tr``). For the pipeline shapes
+in the paper's benchmarks this is byte-identical to GNU tr — the
 equivalence is exercised against ``/usr/bin/tr`` in tests.
 """
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .base import CommandError, ExecEnv, parse_opts, register, resolve_streams
 
@@ -190,82 +189,56 @@ def _tr_set(spec: str) -> str:
     return "".join(out)
 
 
+def _tr_class(chars: Iterable[str]) -> str:
+    """The body of a regex character class matching each of ``chars``."""
+    return re.escape("".join(sorted(set(chars))))
+
+
 @register("tr")
 def tr(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
+    """GNU ``tr`` as one pass over the stream joined at its line ends.
+
+    ``-d`` deletes SET1's characters, or under ``-c`` every other one.
+    Otherwise SET1 translates to SET2, or under ``-c`` every character
+    outside SET1 becomes SET2's last. ``-s`` then squeezes runs of SET2's
+    characters, or of SET1's when there is no SET2. Line ends are never
+    translated, deleted or complemented, but a character mapped to ``\\n``
+    splits its line. A squeezed ``\\n`` is applied at the final split, which
+    drops every empty line; GNU merges runs across line ends instead, so it
+    keeps one leading empty line when the stream starts with a character
+    squeezed into ``\\n``.
+    """
     opts, operands = parse_opts(argv, flags="csdC")
     comp = bool(opts.get("c") or opts.get("C"))
     squeeze, delete = bool(opts.get("s")), bool(opts.get("d"))
-    if delete:
-        if len(operands) != 1:
-            raise CommandError("tr -d: expected one set")
-        set1, set2 = _tr_set(operands[0]), ""
-    else:
-        if len(operands) == 1 and squeeze:
-            set1, set2 = _tr_set(operands[0]), ""
-        elif len(operands) == 2:
-            set1, set2 = _tr_set(operands[0]), _tr_set(operands[1])
-        else:
-            raise CommandError("tr: expected SET1 SET2")
-
-    out: List[str] = []
-    squeeze_nl = False
-    if delete:
-        member = set(set1)
-        if comp:
-            delete_fn = lambda s: "".join(ch for ch in s if ch in member)
-        else:
-            delete_fn = lambda s: "".join(ch for ch in s if ch not in member)
-        transform = delete_fn
-        squeeze_set = set()
+    # -d takes one set and -s one or two; -ds deletes SET1, then squeezes SET2
+    if len(operands) not in ((1, 2) if squeeze else (1,) if delete else (2,)):
+        raise CommandError("tr -d: expected one set" if delete and not squeeze
+                           else "tr: expected SET1 SET2")
+    set1, set2 = _tr_set(operands[0]), _tr_set(operands[1]) if len(operands) == 2 else ""
+    if not stdin:
+        return []
+    text = "\n".join(stdin)
+    outside = "[^" + _tr_class(set1 + "\n") + "]"  # -c's complement leaves line ends alone
+    squeezed = set2 if squeeze else ""
+    if delete and comp:
+        text = re.sub(outside + "+", "", text)
+    elif delete:
+        text = text.translate(str.maketrans("", "", set1.replace("\n", "")))
+    elif set2 and comp:
+        # a squeezed target absorbs a whole run at once
+        text = re.sub(outside + ("+" if squeeze else ""), set2[-1].replace("\\", r"\\"), text)
     elif set2:
-        if comp:
-            # complement translate: every char NOT in set1 maps to last of set2
-            tgt = set2[-1]
-            member = set(set1)
-            transform = lambda s: "".join(ch if ch in member else tgt for ch in s)
-            squeeze_set = set(set2) if squeeze else set()
-        else:
-            if len(set2) < len(set1):
-                set2 = set2 + set2[-1] * (len(set1) - len(set2))
-            table = str.maketrans(set1, set2[: len(set1)])
-            if not squeeze and "\n" not in set1:
-                # one translate over the whole stream; a character mapped
-                # to a newline still splits its line, as below
-                return "\n".join(stdin).translate(table).split("\n") if stdin else []
-            transform = lambda s: s.translate(table)
-            squeeze_set = set(set2) if squeeze else set()
-    else:  # squeeze only
-        transform = lambda s: s
-        member = set(set1)
-        squeeze_set = (set(_all_chars()) - member) if comp else member
-    squeeze_nl = "\n" in squeeze_set
-
-    def do_squeeze(s: str) -> str:
-        if not squeeze_set:
-            return s
-        buf: List[str] = []
-        prev: Optional[str] = None
-        for ch in s:
-            if ch == prev and ch in squeeze_set:
-                continue
-            buf.append(ch)
-            prev = ch
-        return "".join(buf)
-
-    for line in stdin:
-        t = do_squeeze(transform(line))
-        if "\n" in t:
-            parts = t.split("\n")
-            out.extend(p for p in parts if p != "") if squeeze_nl else out.extend(parts)
-        else:
-            if t == "" and squeeze_nl:
-                continue  # empty line squeezed into the surrounding newlines
-            out.append(t)
-    return out
-
-
-def _all_chars() -> str:
-    return "".join(chr(i) for i in range(256))
+        table = str.maketrans(set1, set2.ljust(len(set1), set2[-1])[: len(set1)])
+        table.pop(ord("\n"), None)
+        text = text.translate(table)
+    else:  # no SET2: squeeze SET1, or under -c every byte outside it
+        squeezed = set(map(chr, range(256))) - set(set1) if comp else set1
+    cls = _tr_class(set(squeezed) - {"\n"})
+    if cls:
+        text = re.sub(f"([{cls}])\\1+", r"\1", text)
+    lines = text.split("\n")
+    return [l for l in lines if l] if "\n" in squeezed else lines
 
 
 # --------------------------------------------------------------------------

@@ -213,3 +213,53 @@ class TestEdgeCases:
     def test_sed_newline_replacement_fans_out(self):
         out = run_cli("sed", [r"s/ /\n/g"], ["a b c"], ExecEnv())
         assert out == ["a", "b", "c"]
+
+
+_RUNS = ["", "", "a", "A", "a", "b", "", "B", "b"]
+
+
+@pytest.mark.parametrize("name,argv,stdin,expected", [
+    # a SET1 that holds \n leaves line ends alone (GNU joins the lines: ROADMAP item 5)
+    pytest.param("tr", ["\\n", "x"], ["a", "b"], ["a", "b"], id="set1-newline-translate"),
+    pytest.param("tr", ["-d", "\\n"], ["a", "b"], ["a", "b"], id="set1-newline-delete"),
+    # a character mapped to \n splits its line
+    pytest.param("tr", [" ", "\\n"], ["a b", "c"], ["a", "b", "c"], id="map-to-newline-splits"),
+    # a squeezed \n drops empty lines and empty pieces
+    pytest.param("tr", ["-s", " ", "\\n"], ["a  b", "", "c"], ["a", "b", "c"],
+                 id="squeezed-newline-drops-empties"),
+    pytest.param("tr", ["-s", "\\n"], ["a", "", "", "b"], ["a", "b"], id="squeeze-newline-only"),
+    # GNU keeps one leading empty line here: ROADMAP item 5
+    pytest.param("tr", ["-s", " ", "\\n"], ["", " a  b ", "", "c"], ["a", "b", "c"],
+                 id="squeezed-newline-at-stream-start"),
+    pytest.param("tr", ["-cs", "A-Za-z", "\\n"], ["-- hello, world", "foo"],
+                 ["hello", "world", "foo"], id="wf-first-line-starts-with-punct"),
+    # -c and -dc never touch a line end (GNU's complement holds \n: ROADMAP item 5)
+    pytest.param("tr", ["-c", "a", "x"], ["ab", "a"], ["ax", "a"], id="complement-keeps-line-ends"),
+    pytest.param("tr", ["-dc", "a"], ["ab", "ba"], ["a", "a"], id="delete-complement-keeps-line-ends"),
+    # a complement squeeze covers code points 0-255 only: 日日 stays
+    pytest.param("tr", ["-cs", "a"], ["xxaa日日", "", "bb"], ["xaa日日", "b"],
+                 id="complement-squeeze-0-255"),
+    # -, ], \ and ^ match literally
+    pytest.param("tr", ["-d", "]^\\\\-"], ["a-b]c^d\\e"], ["abcde"], id="literal-delete"),
+    pytest.param("tr", ["-s", "^\\\\-"], ["^^\\\\--"], ["^\\-"], id="literal-squeeze"),
+    # GNU also maps the line end: ROADMAP item 5
+    pytest.param("tr", ["-c", "]^\\\\-", "x"], ["a-]^\\b"], ["x-]^\\x"], id="literal-complement"),
+    # -ds deletes SET1, then squeezes SET2
+    pytest.param("tr", ["-ds", "a", "b"], ["aabbcc", "bbxa", ""], ["bcc", "bx", ""],
+                 id="delete-then-squeeze"),
+    # empty input gives nothing; one empty line stays unless \n is squeezed
+    pytest.param("tr", ["a", "b"], [], [], id="empty-input"),
+    pytest.param("tr", ["a", "b"], [""], [""], id="one-empty-line"),
+    # GNU prints the empty line: ROADMAP item 5
+    pytest.param("tr", ["-s", "\\n"], [""], [], id="one-empty-line-squeezed"),
+    pytest.param("uniq", ["-c"], _RUNS, ["      2 ", "      1 a", "      1 A", "      1 a",
+                                         "      1 b", "      1 ", "      1 B", "      1 b"],
+                 id="uniq-c"),
+    pytest.param("uniq", ["-d"], _RUNS, [""], id="uniq-d"),
+    pytest.param("uniq", ["-i"], _RUNS, ["", "a", "b", "", "B"], id="uniq-i"),
+    pytest.param("uniq", ["-ci"], _RUNS, ["      2 ", "      3 a", "      1 b", "      1 ",
+                                          "      2 B"], id="uniq-ci"),
+    pytest.param("uniq", ["-cd"], _RUNS, ["      2 "], id="uniq-cd"),
+])
+def test_line_end_and_run_rules(name, argv, stdin, expected):
+    assert run_cli(name, argv, stdin, ExecEnv()) == expected

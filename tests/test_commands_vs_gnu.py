@@ -84,6 +84,8 @@ CASES = [
     ("tr", ["[:upper:]", "[:lower:]"], "tr '[:upper:]' '[:lower:]'"),
     ("tr", ["-d", "[:digit:]"], "tr -d '[:digit:]'"),
     ("tr", [" ", "\n"], r"tr ' ' '\n'"),
+    ("tr", ["-d", "[:punct:]"], "tr -d '[:punct:]'"),
+    ("tr", ["-ds", "a", "b"], "tr -ds a b"),
     ("cut", ["-d", " ", "-f1"], "cut -d ' ' -f1"),
     ("cut", ["-d", " ", "-f2"], "cut -d ' ' -f2"),
     ("cut", ["-d", " ", "-f1,3"], "cut -d ' ' -f1,3"),
@@ -103,6 +105,7 @@ CASES = [
     ("uniq", [], "uniq"),
     ("uniq", ["-c"], "uniq -c"),
     ("uniq", ["-d"], "uniq -d"),
+    ("uniq", ["-cd"], "uniq -cd"),
     ("wc", ["-l"], "wc -l"),
     ("wc", ["-w"], "wc -w"),
     ("wc", ["-c"], "wc -c"),
