@@ -35,47 +35,60 @@ def numeric_value(s: str) -> float:
         return 0.0
 
 
+def _key_spec(kspec, numeric: bool) -> Tuple[slice, bool, bool]:
+    """A ``-k`` spec as ``(fields, numeric, reverse)``: ``fields`` slices the
+    line's fields from the key's first to its last (or the line's last)."""
+    spec = str(kspec)
+    knum = numeric
+    krev = False
+    for mod in ("n", "r"):
+        if spec.endswith(mod):
+            if mod == "n":
+                knum = True
+            else:
+                krev = True
+            spec = spec[:-1]
+    if "," in spec:
+        lo_s, hi_s = spec.split(",", 1)
+        lo, hi = int(lo_s), int(hi_s.rstrip("nr"))
+    else:
+        lo, hi = int(spec), 1 << 20
+    return slice(lo - 1, hi), knum, krev
+
+
 def make_sort_key(opts) -> Callable[[str], Tuple]:
     """Build the GNU-compatible sort key. The key tuple always ends with the
     whole line (the last-resort comparison); ``-r`` is applied globally by
-    the caller via ``reverse=True``, matching GNU's total-order reversal."""
+    the caller via ``reverse=True``, matching GNU's total-order reversal.
+    The ``-k`` specs are parsed here, once, and each line is split once."""
     numeric = bool(opts.get("n"))
     keys = opts.get("k") or []
     sep = opts.get("t")
     if keys and sep is None:
         raise CommandError("sort: -k requires an explicit -t separator here")
+    if not keys:
+        if numeric:
+            return lambda line: (numeric_value(line), line)
+        return lambda line: (line, line)
+    sep = str(sep)
+    specs = [_key_spec(k, numeric) for k in keys]
+    if any(krev for _, _, krev in specs):
+        def unsupported(line: str) -> Tuple:
+            raise CommandError("sort: per-key r modifier unsupported")
+
+        return unsupported
+    # fields after the last one a key reads stay unsplit
+    maxsplit = max(fields.stop for fields, _, _ in specs)
+    if len(specs) == 1:
+        (fields, knum, _), = specs
+        if knum:
+            return lambda line: (numeric_value(sep.join(line.split(sep, maxsplit)[fields])), line)
+        return lambda line: (sep.join(line.split(sep, maxsplit)[fields]), line)
 
     def key(line: str) -> Tuple:
-        parts: List = []
-        if keys:
-            for kspec in keys:
-                spec = str(kspec)
-                knum = numeric
-                krev = False
-                for mod in ("n", "r"):
-                    if spec.endswith(mod):
-                        if mod == "n":
-                            knum = True
-                        else:
-                            krev = True
-                        spec = spec[:-1]
-                if "," in spec:
-                    lo_s, hi_s = spec.split(",", 1)
-                    hi_s = hi_s.rstrip("nr")
-                    lo, hi = int(lo_s), int(hi_s)
-                else:
-                    lo = int(spec)
-                    hi = 1 << 20
-                fields = line.split(str(sep))
-                segment = str(sep).join(fields[lo - 1 : hi])
-                k = numeric_value(segment) if knum else segment
-                if krev:
-                    raise CommandError("sort: per-key r modifier unsupported")
-                parts.append(k)
-        else:
-            parts.append(numeric_value(line) if numeric else line)
-        parts.append(line)
-        return tuple(parts)
+        parts = line.split(sep, maxsplit)
+        return (*(numeric_value(sep.join(parts[fields])) if knum else sep.join(parts[fields])
+                  for fields, knum, _ in specs), line)
 
     return key
 

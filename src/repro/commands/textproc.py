@@ -247,7 +247,9 @@ def tr(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
 
 
 def _parse_list(spec: str, upper: int = 1 << 20) -> List[Tuple[int, int]]:
-    """Parse a cut LIST like ``1,3`` / ``2-4`` / ``-3`` / ``5-`` into ranges."""
+    """Parse a cut LIST like ``1,3`` / ``2-4`` / ``-3`` / ``5-`` into sorted,
+    disjoint ranges: GNU selects each position once, in increasing order,
+    whatever order the LIST names them in."""
     ranges: List[Tuple[int, int]] = []
     for part in spec.split(","):
         if not part:
@@ -261,39 +263,39 @@ def _parse_list(spec: str, upper: int = 1 << 20) -> List[Tuple[int, int]]:
         if lo < 1 or hi < lo:
             raise CommandError(f"cut: bad range {part}")
         ranges.append((lo, hi))
-    return ranges
+    merged: List[Tuple[int, int]] = []
+    for lo, hi in sorted(ranges):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 @register("cut")
 def cut(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
     opts, operands = parse_opts(argv, flags="s", with_arg="dfcb")
     lines = resolve_streams(operands, stdin, env)
-    out: List[str] = []
     if "c" in opts or "b" in opts:
-        ranges = _parse_list(str(opts.get("c") or opts.get("b")))
-        for l in lines:
-            out.append("".join(l[lo - 1 : hi] for lo, hi in ranges))
-        return out
+        slices = [slice(lo - 1, hi) for lo, hi in _parse_list(str(opts.get("c") or opts.get("b")))]
+        return ["".join(l[s] for s in slices) for l in lines]
     if "f" in opts:
         delim = str(opts.get("d", "\t"))
         if len(delim) != 1:
             raise CommandError("cut: delimiter must be a single character")
-        ranges = _parse_list(str(opts["f"]))
+        slices = [slice(lo - 1, hi) for lo, hi in _parse_list(str(opts["f"]))]
+        last = slices[-1].stop  # no field after it is picked
+        one = slices[0] if len(slices) == 1 else None
         only_delimited = bool(opts.get("s"))
+        out: List[str] = []
         for l in lines:
             if delim not in l:
                 if not only_delimited:
                     out.append(l)
                 continue
-            fields = l.split(delim)
-            picked: List[str] = []
-            seen = set()
-            for lo, hi in ranges:
-                for idx in range(lo, min(hi, len(fields)) + 1):
-                    if idx not in seen:
-                        seen.add(idx)
-                        picked.append(fields[idx - 1])
-            out.append(delim.join(picked))
+            fields = l.split(delim, last)
+            out.append(delim.join(fields[one] if one is not None
+                                  else [f for s in slices for f in fields[s]]))
         return out
     raise CommandError("cut: need -f or -c")
 

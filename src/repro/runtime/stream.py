@@ -48,16 +48,38 @@ exchange. Order never comes from partition order: the sink and
 the aggregator of a ``split`` place every record by ``p``. Every action is
 one Spark job, however many shuffles it crosses.
 
-**Per-task cost.** Before every task, Spark's Python worker calls
-``importlib.invalidate_caches()``. Under CPython < 3.12 that makes each
-``zipimporter`` re-read its whole archive directory, and the worker's path
-holds three archives (``pyspark.zip``, the py4j zip, the spark-core jar):
-about 0.2 s per task, more than a 5k-line ``tr | sort`` chunk costs. Every
-task function therefore starts with :func:`_keep_zip_directories`, which
-makes the re-read a no-op for the rest of that worker's life. The archives
-do not change while a worker lives; directory finders are still
-invalidated, and a zip newly put on the path (``addPyFile``) gets a new
-importer that reads it.
+**Per-task cost.** Every task function starts with :func:`_prepare_worker`,
+which sets the worker up on its first task; three fixed per-task costs of
+Spark's Python worker go with it.
+
+* Before every task the worker calls ``importlib.invalidate_caches()``.
+  Under CPython < 3.12 that makes each ``zipimporter`` re-read its whole
+  archive directory, and the worker's path holds three archives
+  (``pyspark.zip``, the py4j zip, the spark-core jar): about 0.2 s per task,
+  more than a 5k-line ``tr | sort`` chunk costs. The hook makes the re-read
+  a no-op for the rest of the worker's life. The archives do not change
+  while a worker lives; directory finders are still invalidated, and a zip
+  newly put on the path (``addPyFile``) gets a new importer that reads it.
+* After every task PySpark's daemon runs a full ``gc.collect()``. A warm
+  worker holds ~40k objects from its imports, so each collection took
+  14-33 ms, in all workers at once when a stage ends. The hook calls
+  ``gc.freeze()``, after which a collection scans only what later tasks
+  make (0.03-0.06 ms); cycles among those are still found. What the first
+  task holds at entry stays frozen too, and is still freed by reference
+  counting.
+* The worker's TCP socket to the executor runs Nagle's algorithm, and the
+  peer delays its ACKs (RFC 896, RFC 1122 §4.2.3.2), so the last small
+  write of a task's output waited for an ACK. The hook finds the
+  worker's open ``AF_INET``/``AF_INET6`` sockets once and sets
+  ``TCP_NODELAY`` on them; ``AF_UNIX`` sockets
+  (``spark.python.unix.domain.socket.enabled``) are left alone. Where the
+  platform has ``TCP_QUICKACK`` (Linux), every task entry sets it too,
+  since the kernel clears it again, so the worker ACKs the executor's
+  writes of the task's input at once. A one-stage job of 4 tasks with
+  0-100 lines each took 96-103 ms, 79-82 ms with the freeze and
+  ``TCP_NODELAY``, and 42-44 ms with ``TCP_QUICKACK`` as well; at 5k lines
+  a task the freeze and ``TCP_NODELAY`` took it from 58 to 40 ms and
+  ``TCP_QUICKACK`` changed nothing.
 
 **Limit.** PySpark frames pickled records with a 32-bit length and refuses
 a frame larger than 2 GiB (``FramedSerializer``). An ingest frame is one
@@ -74,7 +96,9 @@ on a classic session, not a Spark Connect one.
 """
 from __future__ import annotations
 
+import gc
 import pickle
+import socket
 import zipimport
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -110,10 +134,33 @@ def _archive_unchanged(self) -> None:
     """``zipimporter.invalidate_caches`` for archives that never change."""
 
 
-def _keep_zip_directories() -> None:
-    """Stop ``importlib.invalidate_caches()`` from re-reading every zip on
-    ``sys.path`` in this (worker) process; see the module docstring."""
-    zipimport.zipimporter.invalidate_caches = _archive_unchanged
+# the worker's open TCP sockets, found on its first task
+_tcp_sockets: Optional[List[socket.socket]] = None
+_QUICKACK: Optional[int] = getattr(socket, "TCP_QUICKACK", None)
+
+
+def _set_tcp_option(option: int) -> None:
+    for sock in _tcp_sockets:
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, option, 1)
+        except OSError:  # closed in this process, e.g. the daemon's listener
+            pass
+
+
+def _prepare_worker() -> None:
+    """Set up this (worker) process on its first task: no zip re-reads, the
+    import-time heap frozen, ``TCP_NODELAY`` on its TCP sockets; and ACK at
+    once on every task. See the module docstring."""
+    global _tcp_sockets
+    if _tcp_sockets is None:
+        zipimport.zipimporter.invalidate_caches = _archive_unchanged
+        # before the freeze: gc.get_objects() does not list frozen objects
+        _tcp_sockets = [obj for obj in gc.get_objects() if isinstance(obj, socket.socket)
+                        and obj.family in (socket.AF_INET, socket.AF_INET6)]
+        _set_tcp_option(socket.TCP_NODELAY)
+        gc.freeze()
+    if _QUICKACK is not None:
+        _set_tcp_option(_QUICKACK)
 
 
 def _run(fns: List[ChunkFn], lines: List[str]) -> List[str]:
@@ -128,7 +175,7 @@ def _apply_chain(fns: List[ChunkFn], offset: int = 0):
     ``offset``."""
 
     def apply(chunks: Iterable[Chunk]) -> Iterator[Chunk]:
-        _keep_zip_directories()
+        _prepare_worker()
         for p, lines in chunks:
             yield p + offset, _run(fns, lines)
 
@@ -142,7 +189,7 @@ def _run_lanes(lanes: Dict[int, List[Tuple[int, List[ChunkFn]]]]):
     and emits it as chunk ``offset + k``."""
 
     def apply(k: int, slices: Iterable[List[Tuple[int, List[str]]]]) -> Iterator[Chunk]:
-        _keep_zip_directories()
+        _prepare_worker()
         for chunks in slices:
             for s, lines in chunks:
                 for offset, fns in lanes.get(s, ()):
@@ -156,7 +203,7 @@ def _to_every_range(width: int):
     once and key the same bytes by every range id."""
 
     def apply(chunks: Iterable[Chunk]) -> Iterator[Tuple[int, Tuple[int, bytes]]]:
-        _keep_zip_directories()
+        _prepare_worker()
         for p, lines in chunks:
             blob = pickle.dumps(lines, pickle.HIGHEST_PROTOCOL)
             for r in range(width):
@@ -171,7 +218,7 @@ def _range_task(ranges: RangeFn, n_parts: int, width: int):
     emits even when empty."""
 
     def apply(r: int, records: Iterable[Tuple[int, Tuple[int, bytes]]]) -> Iterator[Chunk]:
-        _keep_zip_directories()
+        _prepare_worker()
         chunks = ((p, pickle.loads(blob)) for _, (p, blob) in records)
         yield r, ranges(_parts(chunks, n_parts), r, width)
 

@@ -96,6 +96,10 @@ CASES = [
     ("cut", ["-c", "1-5"], "cut -c 1-5"),
     ("cut", ["-c", "3"], "cut -c 3"),
     ("cut", ["-c", "89-92"], "cut -c 89-92"),
+    ("cut", ["-d", " ", "-f3,1"], "cut -d ' ' -f3,1"),
+    ("cut", ["-d", " ", "-f2-3,1-2"], "cut -d ' ' -f2-3,1-2"),
+    ("cut", ["-c", "2-3,1-2"], "cut -c 2-3,1-2"),
+    ("cut", ["-c", "4,1-2"], "cut -c 4,1-2"),
     ("sort", [], "sort"),
     ("sort", ["-r"], "sort -r"),
     ("sort", ["-n"], "sort -n"),

@@ -306,6 +306,39 @@ class TestWorkerImports:
             # re-reading takes 125-270 ms a call, skipping it ~0.1 ms
             assert float(ms) < 10, rows
 
+    def test_tasks_freeze_heap_and_send_at_once(self, spark):
+        def probe(lines):
+            import gc
+            import socket
+            import weakref
+
+            frozen = gc.get_freeze_count()
+            gc.unfreeze()  # gc.get_objects() does not list frozen objects
+            socks = [o for o in gc.get_objects() if isinstance(o, socket.socket)
+                     and o.family in (socket.AF_INET, socket.AF_INET6) and o.fileno() != -1]
+            gc.freeze()
+            nodelay = all(s.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+                          for s in socks)
+
+            class Node:
+                pass
+
+            node = Node()
+            node.self = node
+            ref = weakref.ref(node)
+            del node
+            gc.collect()
+            return [f"{frozen} {len(socks)} {nodelay} {ref() is None}"]
+
+        st = SparkStream.from_lines(spark, [str(i) for i in range(8)], 4)
+        # after a stage, so each worker's later task runs on a set-up worker
+        assert st.per_chunk(lambda ls: ls).collect_lines() == [str(i) for i in range(8)]
+        rows = [r.split() for r in st.per_chunk(probe).collect_lines()]
+        assert len(rows) == 4
+        for frozen, n_socks, nodelay, cycle_freed in rows:
+            assert int(frozen) > 0 and int(n_socks) > 0, rows
+            assert nodelay == "True" and cycle_freed == "True", rows
+
     def test_pyfile_added_after_stages_imports(self, spark, tmp_path):
         st = SparkStream.from_lines(spark, ["a", "b", "c", "d"], 4)
         # the workers have run a stage, so they no longer re-read zips
