@@ -35,25 +35,25 @@ def numeric_value(s: str) -> float:
         return 0.0
 
 
-def _key_spec(kspec, numeric: bool) -> Tuple[slice, bool, bool]:
-    """A ``-k`` spec as ``(fields, numeric, reverse)``: ``fields`` slices the
-    line's fields from the key's first to its last (or the line's last)."""
+def _key_spec(kspec, numeric: bool) -> Tuple[slice, bool]:
+    """A ``-k`` spec as ``(fields, numeric)``: ``fields`` slices the line's
+    fields from the key's first to its last (or the line's last). A per-key
+    ``r`` or a malformed spec raises here, before any line is keyed."""
     spec = str(kspec)
     knum = numeric
-    krev = False
-    for mod in ("n", "r"):
-        if spec.endswith(mod):
-            if mod == "n":
-                knum = True
-            else:
-                krev = True
-            spec = spec[:-1]
-    if "," in spec:
-        lo_s, hi_s = spec.split(",", 1)
-        lo, hi = int(lo_s), int(hi_s.rstrip("nr"))
-    else:
-        lo, hi = int(spec), 1 << 20
-    return slice(lo - 1, hi), knum, krev
+    if spec.endswith("n"):
+        knum, spec = True, spec[:-1]
+    if spec.endswith("r"):
+        raise CommandError("sort: per-key r modifier unsupported")
+    try:
+        if "," in spec:
+            lo_s, hi_s = spec.split(",", 1)
+            lo, hi = int(lo_s), int(hi_s.rstrip("nr"))
+        else:
+            lo, hi = int(spec), 1 << 20
+    except ValueError:
+        raise CommandError(f"sort: invalid key {kspec}") from None
+    return slice(lo - 1, hi), knum
 
 
 def make_sort_key(opts) -> Callable[[str], Tuple]:
@@ -72,23 +72,13 @@ def make_sort_key(opts) -> Callable[[str], Tuple]:
         return lambda line: (line, line)
     sep = str(sep)
     specs = [_key_spec(k, numeric) for k in keys]
-    if any(krev for _, _, krev in specs):
-        def unsupported(line: str) -> Tuple:
-            raise CommandError("sort: per-key r modifier unsupported")
-
-        return unsupported
     # fields after the last one a key reads stay unsplit
-    maxsplit = max(fields.stop for fields, _, _ in specs)
-    if len(specs) == 1:
-        (fields, knum, _), = specs
-        if knum:
-            return lambda line: (numeric_value(sep.join(line.split(sep, maxsplit)[fields])), line)
-        return lambda line: (sep.join(line.split(sep, maxsplit)[fields]), line)
+    maxsplit = max(fields.stop for fields, _ in specs)
 
     def key(line: str) -> Tuple:
         parts = line.split(sep, maxsplit)
         return (*(numeric_value(sep.join(parts[fields])) if knum else sep.join(parts[fields])
-                  for fields, knum, _ in specs), line)
+                  for fields, knum in specs), line)
 
     return key
 

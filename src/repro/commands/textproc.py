@@ -285,7 +285,6 @@ def cut(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
             raise CommandError("cut: delimiter must be a single character")
         slices = [slice(lo - 1, hi) for lo, hi in _parse_list(str(opts["f"]))]
         last = slices[-1].stop  # no field after it is picked
-        one = slices[0] if len(slices) == 1 else None
         only_delimited = bool(opts.get("s"))
         out: List[str] = []
         for l in lines:
@@ -294,8 +293,7 @@ def cut(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
                     out.append(l)
                 continue
             fields = l.split(delim, last)
-            out.append(delim.join(fields[one] if one is not None
-                                  else [f for s in slices for f in fields[s]]))
+            out.append(delim.join([f for s in slices for f in fields[s]]))
         return out
     raise CommandError("cut: need -f or -c")
 

@@ -143,7 +143,7 @@ def _set_tcp_option(option: int) -> None:
     for sock in _tcp_sockets:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, option, 1)
-        except OSError:  # closed in this process, e.g. the daemon's listener
+        except OSError:  # closed since the first task
             pass
 
 
@@ -156,6 +156,7 @@ def _prepare_worker() -> None:
         zipimport.zipimporter.invalidate_caches = _archive_unchanged
         # before the freeze: gc.get_objects() does not list frozen objects
         _tcp_sockets = [obj for obj in gc.get_objects() if isinstance(obj, socket.socket)
+                        and obj.fileno() != -1
                         and obj.family in (socket.AF_INET, socket.AF_INET6)]
         _set_tcp_option(socket.TCP_NODELAY)
         gc.freeze()

@@ -175,6 +175,16 @@ class TestEdgeCases:
         # as in GNU: the first ``-`` reads stdin to its end
         assert run_cli(name, argv, ["b", "a"], ExecEnv(files={"f": ["f"]})) == expected
 
+    @pytest.mark.parametrize("argv", [
+        ["-t", ",", "-k", "x"],
+        ["-t", ",", "-k", "1,y"],
+        ["-t", ",", "-k", "2r"],
+    ])
+    def test_sort_bad_key_errors_on_empty_input(self, argv):
+        # the -k specs are parsed before any line is read, as GNU does
+        with pytest.raises(CommandError):
+            run_cli("sort", argv, [], ExecEnv())
+
     def test_grep_two_files_rejected(self):
         env = ExecEnv(files={"a": [], "b": []})
         with pytest.raises(CommandError):
