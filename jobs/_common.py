@@ -18,12 +18,24 @@ sys.path.insert(0, SRC)
 _old = os.environ.get("PYTHONPATH")
 os.environ["PYTHONPATH"] = SRC + (os.pathsep + _old if _old else "")
 
+
+def _driver_memory() -> str:
+    """Half of the host's MemTotal in GiB, clamped to 2..8, as the tier-1
+    tests and the benchmark size it."""
+    try:
+        with open("/proc/meminfo") as f:
+            kb = next(int(l.split()[1]) for l in f if l.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError):
+        return "2g"
+    return f"{min(8, max(2, kb // 2097152))}g"
+
+
 # driver memory is read at JVM launch: it must be in PYSPARK_SUBMIT_ARGS
 # before pyspark is imported (same approach as conftest.py)
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '24g')} "
+    f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM') or _driver_memory()} "
     "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false "
     "pyspark-shell",
 )

@@ -369,8 +369,8 @@ class SparkStream:
         sources not shipped yet together, in one ``parallelize``, so lane
         ``k`` of every input runs in task ``k``: n inputs of width w are w
         tasks."""
-        if len(reads) < 2:
-            return [st.collect_lines(agg) for st, agg in reads]
+        if not reads:
+            return []
         outs: List[List[str]] = []
 
         def each(parts: List[List[str]]) -> List[str]:
@@ -378,7 +378,8 @@ class SparkStream:
             for st, agg in reads:
                 outs.append(agg(parts[off:off + st.n_parts]))
                 off += st.n_parts
-            return concat(outs)
+            # the sink's lines: one read's own list, or the reads' in order
+            return outs[0] if len(outs) == 1 else concat(outs)
 
         SparkStream([leaf for st, _ in reads for leaf in st.leaves]).collect_lines(each)
         return outs

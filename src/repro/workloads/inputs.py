@@ -5,6 +5,14 @@ The paper evaluates on 1–10 GB text, 82 GB of NOAA fixed-width records and
 at MB scale (zipfian word frequencies, mixed case and punctuation, the 999
 missing-data sentinel, tag-per-line HTML) — DESIGN.md §5 documents why
 this keeps every code path and speedup *shape* intact.
+
+The generators stand in for files the shell would read, so they should
+cost the driver little more than the lines they return. They draw integers
+with numpy and build each line from Python lists of words, never through a
+numpy string array: one such array (``vocab[idx]``, ``np.char.capitalize``)
+holds every word of the corpus at the longest word's fixed width, and
+building a corpus through three of them set the benchmark driver's peak
+memory. Indexing a list with the same integer draws gives the same bytes.
 """
 from __future__ import annotations
 
@@ -34,7 +42,8 @@ _BASE_WORDS = [
 def _vocab(n_extra: int = 400, seed: int = 7) -> List[str]:
     g = np.random.default_rng(seed)
     extra = [
-        "".join(g.choice(list(string.ascii_lowercase), size=g.integers(3, 10)))
+        "".join(map(string.ascii_lowercase.__getitem__,
+                    g.choice(26, size=g.integers(3, 10)).tolist()))
         for _ in range(n_extra)
     ]
     return _BASE_WORDS + extra
@@ -44,17 +53,17 @@ def text_corpus(n_lines: int, *, seed: int = 0, words_per_line: int = 8,
                 punct: bool = True, mixed_case: bool = True) -> List[str]:
     """Zipf-distributed English-ish text, one sentence per line."""
     g = np.random.default_rng(seed)
-    vocab = np.array(_vocab())
+    vocab = _vocab()
     ranks = np.arange(1, len(vocab) + 1)
     w = 1.0 / ranks**1.1
     w /= w.sum()
     k = words_per_line
     idx = g.choice(len(vocab), size=(n_lines, k), p=w)
-    words = vocab[idx]
+    # index a table of both spellings: entry len(vocab) + i is word i capitalised
+    table = vocab + [v.capitalize() for v in vocab]
     if mixed_case:
-        caps = g.random((n_lines, k)) < 0.08
-        words = np.where(caps, np.char.capitalize(words), words)
-    lines = [" ".join(row) for row in words]
+        idx += len(vocab) * (g.random((n_lines, k)) < 0.08)
+    lines = [" ".join(map(table.__getitem__, row.tolist())) for row in idx]
     if punct:
         marks = g.random(n_lines)
         lines = [
@@ -165,10 +174,10 @@ def webindex_env(n_pages: int = 60, *, seed: int = 11) -> ExecEnv:
 
 def bio_reads(n_reads: int, *, seed: int = 13, adapter: str = "AGATCGGAAGAGC") -> List[str]:
     g = np.random.default_rng(seed)
-    bases = np.array(list("ACGT"))
     reads: List[str] = []
     for i in range(n_reads):
-        read = "".join(g.choice(bases, size=60))
+        # choice(4) draws the same integers that choice over a 4-array would
+        read = "".join(map("ACGT".__getitem__, g.choice(4, size=60).tolist()))
         if g.random() < 0.35:  # adapter read-through
             cut = int(g.integers(20, 55))
             read = read[:cut] + adapter + read[cut : 60 - len(adapter)]

@@ -70,6 +70,7 @@ CASES = [
     ("grep", ["-iv", "fig"], "grep -iv fig"),
     ("grep", ["-c", "e"], "grep -c e"),
     ("grep", ["-E", "a+(pp|le)"], "grep -E 'a+(pp|le)'"),
+    ("grep", ["-E", "(the|he)+ (and|nd)+"], "grep -E '(the|he)+ (and|nd)+'"),
     ("grep", ["-F", "3.14"], "grep -F '3.14'"),
     ("grep", ["-x", "42"], "grep -x 42"),
     ("grep", ["-w", "kiwi"], "grep -w kiwi"),

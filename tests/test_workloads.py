@@ -1,6 +1,8 @@
 """Workload definitions: every evaluated script compiles to dataflow
 regions and its transformed DFG is sequentially equivalent at several
 widths (Spark execution is covered in test_spark_backend.py)."""
+import hashlib
+
 import pytest
 
 from repro.commands.base import ExecEnv
@@ -146,3 +148,36 @@ class TestInputs:
         words = [w for l in text_corpus(2000, seed=0) for w in l.split()]
         counts = Counter(w.lower().strip(".!?") for w in words).most_common()
         assert counts[0][1] > 8 * counts[min(50, len(counts) - 1)][1]
+
+
+# sha256 of the newline-terminated bytes of each generated input, taken from
+# the numpy-string-array generators these replaced; every workload, job,
+# test and benchmark run reads one of these inputs, so they must not drift
+_PINNED = [
+    (text_corpus, 20000, dict(seed=0), "cdd61410d48f623b5ea41f23bfe6504f998c934dec530b5acc6666aca84d5e99"),
+    (text_corpus, 20000, dict(seed=1), "ed7395ddab49b83640cfe273890084bc01a2afc90ca4231d32dcd72d9caf3817"),
+    (text_corpus, 20000, dict(seed=42), "fe3472dc993147ceb45034b547446e6322d3d67f39170cfd356da4c36b0f95b2"),
+    (text_corpus, 4000, dict(seed=0), "bebc0ac422fbb114f01f787e8862d42a20508bf8d0dca926aeee2808d436fdd8"),
+    (text_corpus, 4000, dict(seed=1), "c2f9a18dac88edf77d235a2997e0bf7444618fef3c8d215d4f70d24d0d807c8d"),
+    (text_corpus, 400, dict(seed=2), "e0afde83094a945b197097fb473ac211250b41249b1919d8c8b30f3883d879d4"),
+    (text_corpus, 60, dict(seed=3), "8ba19733ed5d822ac7a18bf3fc19d9a4825405d1d2df1c7369fa88fcb175bfbe"),
+    (text_corpus, 30, dict(seed=4), "30122cc6a2ea3e3902d792eaab8fcbb4503456596be0842d82de7a6af3dd48f6"),
+    (text_corpus, 10, dict(seed=5), "b20ee79733b5da12a4b9da6febe13a20c0879ea7415946c1e0b6ab582a4f567b"),
+    (text_corpus, 200, dict(seed=42), "2dfa2a767cb14a8bdf8e041f618c06363895d4b1c35ca94b3c9551c7f6f82f8f"),
+    (text_corpus, 1, dict(seed=0), "0e83ce23228097929bd0003da9d30186cb17a0075b9c172887fdc7a55847a025"),
+    (text_corpus, 0, dict(seed=0), hashlib.sha256(b"").hexdigest()),
+    (text_corpus, 2000, dict(seed=0, mixed_case=False), "16e2211bdb5f836074c90eadf81b1c5428008334370cb0b0afa9aed25aa0efa4"),
+    (text_corpus, 2000, dict(seed=0, punct=False), "36382ac532c6375e0d0454c0e63ce16cdce9557308603efe81e43957fa72d6a7"),
+    (text_corpus, 2000, dict(seed=0, words_per_line=3), "f6a6006483c5cd134b188ce48dbbdcc665ececa6bfa3b6f323f3e184c5035b0d"),
+    (bio_reads, 1500, dict(), "cd032b5528e90538c798d91f0cffd08ba28e8d82eb48d87c22cbacd26511b0ee"),
+    (bio_reads, 200, dict(), "ccef93b9166a1513782e38d549a855be74d191f068ca4b36aba711bb5a64bfec"),
+    (bio_reads, 1500, dict(seed=7), "d42483575cb4ef6cfbb7d027b012087af65e3a1a44fd3487c886826b86b1c602"),
+]
+
+
+@pytest.mark.parametrize("gen,n,kw,digest", _PINNED,
+                         ids=[f"{g.__name__}-{n}-" + ",".join(f"{k}={v}" for k, v in kw.items())
+                              for g, n, kw, _ in _PINNED])
+def test_generated_inputs_are_pinned(gen, n, kw, digest):
+    data = "".join(l + "\n" for l in gen(n, **kw)).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
