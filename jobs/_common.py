@@ -1,8 +1,8 @@
 """Shared spark-submit plumbing for jobs/*.py.
 
 Each job exposes ``run(spark, **params) -> list[dict]`` (the table rows)
-plus a ``main()`` that builds a local session — so the same code serves
-``spark-submit jobs/<name>.py`` and the ``results_*.txt`` tables.
+plus a ``main()`` that builds a local session and prints them — so the
+same code serves ``spark-submit jobs/<name>.py`` and the tests.
 """
 from __future__ import annotations
 

@@ -18,7 +18,7 @@ import hashlib
 import re
 from typing import List
 
-from .base import CommandError, ExecEnv, parse_opts, register
+from .base import ExecEnv, parse_opts, register
 
 
 def _pairs(words: List[str], span: int) -> List[str]:

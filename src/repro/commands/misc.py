@@ -9,6 +9,7 @@ import base64
 import gzip
 import hashlib
 import re
+from functools import partial
 from typing import List
 
 from .base import CommandError, ExecEnv, REGISTRY, parse_opts, register, resolve_streams
@@ -56,22 +57,17 @@ def wc(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
     return [" ".join(f"{c:7d}" for c in counts)]
 
 
-@register("sha1sum")
-def sha1sum(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
+def _hashsum(digest, argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
+    """``sha1sum``/``md5sum``: the ``digest`` of one file operand or of stdin."""
     _, operands = parse_opts(argv)
     if operands and operands[0] != "-":
         data = stream_bytes(env.read(operands[0]))
-        return [f"{hashlib.sha1(data).hexdigest()}  {operands[0]}"]
-    return [f"{hashlib.sha1(stream_bytes(stdin)).hexdigest()}  -"]
+        return [f"{digest(data).hexdigest()}  {operands[0]}"]
+    return [f"{digest(stream_bytes(stdin)).hexdigest()}  -"]
 
 
-@register("md5sum")
-def md5sum(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
-    _, operands = parse_opts(argv)
-    if operands and operands[0] != "-":
-        data = stream_bytes(env.read(operands[0]))
-        return [f"{hashlib.md5(data).hexdigest()}  {operands[0]}"]
-    return [f"{hashlib.md5(stream_bytes(stdin)).hexdigest()}  -"]
+register("sha1sum")(partial(_hashsum, hashlib.sha1))
+register("md5sum")(partial(_hashsum, hashlib.md5))
 
 
 @register("xargs")

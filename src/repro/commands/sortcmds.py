@@ -13,7 +13,6 @@ under ``LC_ALL=C``.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from typing import Callable, List, Tuple

@@ -19,6 +19,20 @@ from .base import CommandError, ExecEnv, parse_opts, register, resolve_streams
 
 _BRE_SPECIALS = "+?|(){}"
 
+# the POSIX character classes, as tr expands them and as grep and sed
+# rewrite them inside bracket expressions
+_POSIX_CLASSES = {
+    "alpha": "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
+    "upper": "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+    "lower": "abcdefghijklmnopqrstuvwxyz",
+    "digit": "0123456789",
+    "alnum": "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
+    "space": " \t\n\r\f\v",
+    "blank": " \t",
+    "punct": "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~",
+}
+_POSIX_CLASS_RE = re.compile(r"\[:(" + "|".join(_POSIX_CLASSES) + r"):\]")
+
 
 def bre_to_python(pat: str) -> str:
     """Convert a POSIX *basic* regular expression to Python ``re`` syntax.
@@ -67,33 +81,19 @@ def bre_to_python(pat: str) -> str:
 
 def _posix_classes(bracket: str) -> str:
     """Rewrite ``[:alpha:]`` etc. inside a bracket expression for Python re."""
-    return (
-        bracket.replace("[:alpha:]", "a-zA-Z")
-        .replace("[:digit:]", "0-9")
-        .replace("[:alnum:]", "a-zA-Z0-9")
-        .replace("[:upper:]", "A-Z")
-        .replace("[:lower:]", "a-z")
-        .replace("[:space:]", " \\t\\n\\r\\f\\v")
-        .replace("[:punct:]", re.escape("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"))
-        .replace("[:blank:]", " \\t")
-    )
+    return _POSIX_CLASS_RE.sub(lambda m: re.escape(_POSIX_CLASSES[m[1]]), bracket)
 
 
 def compile_grep_pattern(pat: str, *, ere: bool, fixed: bool, icase: bool) -> re.Pattern:
     if fixed:
         body = re.escape(pat)
     elif ere:
-        body = _posix_classes_everywhere(pat)
+        # ERE syntax is Python's but for the POSIX class names
+        body = _posix_classes(pat)
     else:
         body = bre_to_python(pat)
     # LC_ALL=C: \w, \b and -i's case fold cover ASCII only
     return re.compile(body, re.ASCII | (re.IGNORECASE if icase else 0))
-
-
-def _posix_classes_everywhere(pat: str) -> str:
-    # For ERE we only need the POSIX class names rewritten; the rest of the
-    # syntax coincides with Python's for the patterns the benchmarks use.
-    return _posix_classes(pat)
 
 
 # --------------------------------------------------------------------------
@@ -146,16 +146,6 @@ def grep(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
 # tr
 # --------------------------------------------------------------------------
 
-_TR_CLASSES = {
-    "alpha": "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
-    "upper": "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
-    "lower": "abcdefghijklmnopqrstuvwxyz",
-    "digit": "0123456789",
-    "alnum": "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
-    "space": " \t\n\r\f\v",
-    "blank": " \t",
-    "punct": "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~",
-}
 _TR_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "f": "\f", "v": "\v", "a": "\a", "b": "\b", "\\": "\\"}
 
 
@@ -173,9 +163,9 @@ def _tr_set(spec: str) -> str:
             if k < 0:
                 raise CommandError("tr: unterminated [:class:]")
             name = spec[i + 2 : k]
-            if name not in _TR_CLASSES:
+            if name not in _POSIX_CLASSES:
                 raise CommandError(f"tr: unknown class {name}")
-            out.append(_TR_CLASSES[name])
+            out.append(_POSIX_CLASSES[name])
             i = k + 2
         elif i + 2 < n and spec[i + 1] == "-" and spec[i + 2] != "]":
             lo, hi = ord(c), ord(spec[i + 2])

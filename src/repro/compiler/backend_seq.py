@@ -110,7 +110,7 @@ def run_dfg_seq(g: DFG, env: ExecEnv, stdin: Optional[List[str]] = None,
             for eid in n.outputs:  # relay may tee to several outputs
                 values[eid] = list(ins[0])
         elif n.kind == "agg":
-            values[n.outputs[0]] = aggregate(n.agg_name, ins, n.agg_spec)  # type: ignore[arg-type]
+            values[n.outputs[0]] = aggregate(n.agg_name, ins, n.resolved)  # type: ignore[arg-type]
         else:
             raise ValueError(f"unknown node kind {n.kind}")
 

@@ -25,9 +25,10 @@ outputs — fetch every stream input and static of the node in one Spark job
 (``SparkStream.read_together``), where lane ``k`` of every input runs in
 task ``k``: ``diff <(… | sort) <(… | sort)`` is one job of ``width`` tasks.
 
-Streams are chunk records, one per chunk, kept on the driver until a read
-ships them and then an RDD, so a region samples and caches nothing and leaves no state in the session; they need a
-classic session, not a Spark Connect one. A ``CommandError`` raised in a
+Streams are chunk records, one per chunk. They stay on the driver until a
+read ships them, and are an RDD after that. So a region samples and caches
+nothing, and leaves no state in the session. Streams need a classic
+session, not a Spark Connect one. A ``CommandError`` raised in a
 Spark task reaches the caller as ``CommandError``, as on the sequential
 backend.
 """
@@ -179,8 +180,8 @@ def run_dfg_spark(
                 trees[n.outputs[0]] = leaves  # lowered with the root of its tree
                 continue
             fn = AGGREGATORS[n.agg_name]
-            agg = lambda parts, _f=fn, _s=n.agg_spec: _f(parts, _s)
-            outs = [_Held(stream_of(leaves), agg, range_form(n.agg_name, n.agg_spec))]
+            agg = lambda parts, _f=fn, _s=n.resolved: _f(parts, _s)
+            outs = [_Held(stream_of(leaves), agg, range_form(n.agg_name, n.resolved))]
         elif n.kind == "split":
             w = len(n.outputs)
             if isinstance(ins[0], _Held):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.annotations.model import CLASS_E, Resolved, resolve_invocation
+from repro.annotations.model import CLASS_E, resolve_invocation
 from repro.dfg.graph import DFG
 from repro.shell.ast import (
     AndOr,

@@ -18,7 +18,7 @@ Node kinds:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.annotations.model import Resolved
@@ -57,11 +57,13 @@ class Node:
     inputs: List[int] = field(default_factory=list)  # ordered streaming edges
     statics: List[int] = field(default_factory=list)  # config input edges
     outputs: List[int] = field(default_factory=list)
+    # the command's resolution; an agg node carries the one of the command
+    # whose outputs it merges
     resolved: Optional[Resolved] = None
     agg_name: Optional[str] = None  # for kind == "agg"
-    agg_spec: Optional[Resolved] = None  # original command's resolution
-    # map-argv overrides (e.g. cat -n's map is plain cat) read their whole
-    # streaming input from stdin rather than the original file operands
+    # a copy with a map-argv override (e.g. cat -n's map is plain cat), or of
+    # a node with several streaming inputs, reads its chunk from stdin
+    # rather than the original file operands
     via_stdin: bool = False
 
 
@@ -76,9 +78,8 @@ class DFG:
 
     # -- construction ------------------------------------------------------
     def add_edge(self, *, kind: str = "pipe", label: Optional[str] = None,
-                 src: Optional[int] = None, dst: Optional[int] = None,
                  chunk: Optional[Tuple[int, int]] = None) -> Edge:
-        e = Edge(self._next_e, kind, label, src, dst, chunk)
+        e = Edge(self._next_e, kind, label, chunk=chunk)
         self.edges[e.eid] = e
         self._next_e += 1
         return e

@@ -10,12 +10,12 @@ transformations:
 * **t2**: a parallelizable node whose bundle has width 1 gets a ``split``
   node (with eager relays on all outputs but the last, §5) to raise the
   width to ``--width``;
-* **T**: a ⓢ node preceded by a width-n bundle is replaced by n copies and
-  the concatenation is commuted after them; a ⓟ node becomes n ``map``
-  nodes followed by an aggregator (a balanced binary tree for associative
-  aggregators — matching the paper's process counts, e.g. sort at width 8 =
-  8 maps + 7 aggregators + 14 eager relays — or a single n-ary node
-  otherwise);
+* **T**: a ⓢ or ⓟ node fed by a width-n bundle is replaced by n copies.
+  For a ⓢ node the concatenation then commutes past the copies; a ⓟ
+  node's copies are ``map`` nodes feeding its aggregator (a balanced binary
+  tree for associative aggregators — matching the paper's process counts,
+  e.g. sort at width 8 = 8 maps + 7 aggregators + 14 eager relays — or a
+  single n-ary node otherwise);
 * **t3**: ``eager`` relay nodes inserted on aggregator inputs, split
   outputs and the outputs of the ``tee`` that copies a pipe-fed static
   input to every replica (§5, Fig. 3).
@@ -27,7 +27,6 @@ sequential after the first such node (§6.1).
 """
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional
 
 from repro.annotations.model import CLASS_P, CLASS_S, Resolved
@@ -40,14 +39,6 @@ from .graph import DFG, Edge, Node
 # a clause with a ``map_argv`` (cat -n and nl map with plain cat) gets the
 # n-ary node whatever its aggregator.
 BINARY_AGGS = {"rerun", "uniq_c", "wc", "sum", "tac"}
-
-
-def stream_concat_variant(node: Node) -> Node:
-    """A copy of ``node`` that consumes the *concatenation* of its streaming
-    inputs via stdin. Used for the replicated copies T creates from a
-    multi-input node — each copy sees one chunk of the concatenated stream."""
-    assert node.resolved is not None
-    return dataclasses.replace(node, argv=tuple(node.resolved.stdin_argv), via_stdin=True)
 
 
 def parallelize(
@@ -151,7 +142,7 @@ def parallelize(
                 for i in range(0, len(level) - 1, 2):
                     out = g.add_edge().eid
                     g.add_node(
-                        kind="agg", cmd=label, agg_name=agg_name, agg_spec=spec,
+                        kind="agg", cmd=label, agg_name=agg_name, resolved=spec,
                         inputs=[eager_wrap(level[i]), eager_wrap(level[i + 1])],
                         outputs=[out],
                     )
@@ -162,7 +153,7 @@ def parallelize(
             return level[0]
         out = g.add_edge().eid
         g.add_node(
-            kind="agg", cmd=label, agg_name=agg_name, agg_spec=spec,
+            kind="agg", cmd=label, agg_name=agg_name, resolved=spec,
             inputs=[eager_wrap(e) for e in inputs], outputs=[out],
         )
         return out
@@ -173,65 +164,34 @@ def parallelize(
         in_bs = [in_bundle(e) for e in n.inputs]
         flat = [e for b in in_bs for e in b]
         res = n.resolved
-        is_plain_cat = (n.cmd == "cat" and n.cls == CLASS_S
-                       and (res is None or not res.opts))
 
-        if is_plain_cat and n.inputs:
+        if n.cmd == "cat" and n.cls == CLASS_S and not res.opts and n.inputs:
             out_b = flat  # T commutes the concatenation downstream
-        elif n.cls == CLASS_S and n.inputs:
+        elif n.inputs and (n.cls == CLASS_S or (n.cls == CLASS_P and res.aggregator)):
             ib = widen(flat)
-            # replicated copies of a multi-input node consume chunks of the
-            # concatenation via stdin (streaming operands stripped)
-            proto = n if (res is None or len(res.inputs) <= 1 or len(ib) == 1) else None
-            if proto is None:
-                proto = stream_concat_variant(n)
-            sts = statics_for(n, len(ib))
+            cmd, argv, via_stdin = n.cmd, n.argv, n.via_stdin
+            if len(ib) > 1 and res.map_argv:
+                cmd, argv, via_stdin = res.map_argv[0], tuple(res.map_argv[1:]), True
+            elif len(ib) > 1 and len(res.inputs) > 1:
+                # each copy of a multi-input node reads one chunk of the
+                # concatenation via stdin (streaming operands stripped)
+                argv, via_stdin = tuple(res.stdin_argv), True
             outs: List[int] = []
-            for i, e in enumerate(ib):
+            for e, sts in zip(ib, statics_for(n, len(ib))):
                 o = g.add_edge().eid
-                g.add_node(
-                    kind="map" if len(ib) > 1 else "cmd", cmd=proto.cmd,
-                    argv=proto.argv, cls=n.cls, resolved=res,
-                    inputs=[e], statics=sts[i], outputs=[o],
-                    via_stdin=proto.via_stdin,
-                )
+                g.add_node(kind="map" if len(ib) > 1 else "cmd", cmd=cmd, argv=argv,
+                           cls=n.cls, resolved=res, inputs=[e], statics=sts,
+                           outputs=[o], via_stdin=via_stdin)
                 outs.append(o)
-            out_b = outs
-        elif n.cls == CLASS_P and res is not None and res.aggregator and n.inputs:
-            ib = widen(flat)
-            if len(ib) == 1:
-                sts = statics_for(n, 1)
-                o = g.add_edge().eid
-                g.add_node(kind="cmd", cmd=n.cmd, argv=n.argv, cls=n.cls,
-                           resolved=res, inputs=ib, statics=sts[0],
-                           outputs=[o], via_stdin=n.via_stdin)
-                out_b = [o]
-            else:
-                if res.map_argv:
-                    m_cmd, m_argv, via_stdin = res.map_argv[0], tuple(res.map_argv[1:]), True
-                elif len(res.inputs) > 1:
-                    proto = stream_concat_variant(n)
-                    m_cmd, m_argv, via_stdin = proto.cmd, proto.argv, True
-                else:
-                    m_cmd, m_argv, via_stdin = n.cmd, n.argv, n.via_stdin
-                sts = statics_for(n, len(ib))
-                m_outs: List[int] = []
-                for i, e in enumerate(ib):
-                    o = g.add_edge().eid
-                    g.add_node(kind="map", cmd=m_cmd, argv=m_argv, cls=n.cls,
-                               resolved=res, inputs=[e], statics=sts[i],
-                               outputs=[o], via_stdin=via_stdin)
-                    m_outs.append(o)
-                out_b = [agg_tree(m_outs, res.aggregator, res)]
+            out_b = ([agg_tree(outs, res.aggregator, res)]
+                     if n.cls == CLASS_P and len(outs) > 1 else outs)
         else:
             # N, E, P-without-aggregator, or sources: sequential; width sink
             new_ins = [merge(b) for b in in_bs]
-            sts = statics_for(n, 1)
+            sts = statics_for(n, 1)[0]
             o = g.add_edge().eid
-            g.add_node(kind=n.kind if n.kind != "cmd" else "cmd", cmd=n.cmd,
-                       argv=n.argv, cls=n.cls, resolved=res,
-                       inputs=new_ins, statics=sts[0] if sts else [],
-                       outputs=[o], via_stdin=n.via_stdin)
+            g.add_node(kind=n.kind, cmd=n.cmd, argv=n.argv, cls=n.cls, resolved=res,
+                       inputs=new_ins, statics=sts, outputs=[o], via_stdin=n.via_stdin)
             out_b = [o]
 
         # register output bundles; a node in our model has one stdout edge.

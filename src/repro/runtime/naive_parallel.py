@@ -13,7 +13,7 @@ expensive stage (the paper's 1.8x-vs-4.3x comparison), is built in
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from pyspark.sql import SparkSession
 

@@ -17,7 +17,7 @@ rule (§4.1): nodes with incomplete information are not parallelized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, Tuple
 
 Segment = Tuple[str, Any]
 

@@ -8,7 +8,7 @@ process-substitution body.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .ast import Word
 

@@ -17,7 +17,7 @@ memory. Indexing a list with the same integer draws gives the same bytes.
 from __future__ import annotations
 
 import string
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -13,8 +13,6 @@ temperature file per year; ``COMPUTE`` reduces it to the maximum.
 """
 from __future__ import annotations
 
-from typing import List
-
 from repro.commands.base import ExecEnv
 
 from .inputs import noaa_env

@@ -13,7 +13,7 @@ from typing import Callable, Dict
 
 from repro.commands.base import ExecEnv
 
-from .inputs import bio_reads, script_files_env, spell_dict, text_corpus
+from .inputs import script_files_env, spell_dict, text_corpus
 
 # An expensive backtracking ERE, the analogue of the paper's NFA regex
 NFA_REGEX = "((t|h|e|a|n|d)+ ?)+(xyzzy)"

@@ -186,6 +186,11 @@ SPARK_SCRIPTS = [
     "cat in.txt | cat -n | grep 5",
     # the one script in which a map reads an aggregator's output
     "cat <(cat in.txt | sort) <(cat in2.txt | sort) | grep the",
+    # copies of a node with two streaming operands read their chunk on stdin
+    "cut -d ' ' -f 2 in.txt in2.txt | sort",
+    "sed s/a/A/ in.txt in2.txt | grep -c A",
+    # a map_argv clause over two files
+    "cat -n in.txt in2.txt | grep 5",
 ]
 
 

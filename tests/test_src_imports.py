@@ -26,3 +26,25 @@ def test_src_imports_only_the_standard_library_pyspark_and_numpy():
                for name in _imported(ast.parse(path.read_text(), str(path)))
                if name not in ALLOWED}
     assert not outside, sorted(outside)
+
+
+def _unused_imports(tree: ast.Module):
+    """The names ``tree``'s module-level imports bind that the module never
+    reads. ``from __future__`` imports bind nothing."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+def test_src_modules_use_every_name_they_import():
+    unused = {f"{path.relative_to(SRC)}: {name}"
+              for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
+              for name in _unused_imports(ast.parse(path.read_text(), str(path)))}
+    assert not unused, sorted(unused)

@@ -42,6 +42,11 @@ SCRIPTS = [
     'cat in.txt | tr -cs A-Za-z "\\n" | bigrams_aux | sort | uniq',
     "cat in.txt | tac | head -n 3",
     "cat in.txt | cat -n | grep 5",
+    # copies of a node with two streaming operands read their chunk on stdin
+    "cut -d ' ' -f 2 in.txt in2.txt | sort",
+    "sed s/a/A/ in.txt in2.txt | grep -c A",
+    # a map_argv clause over two files
+    "cat -n in.txt in2.txt | grep 5",
 ]
 
 
